@@ -73,7 +73,6 @@ Result<SearchResult> RunSearch(const SearcherKind& kind, RuleEngine* rules,
   }
   ParallelOptions popts;
   popts.num_threads = kind.threads;
-  popts.mode = ParallelMode::kRoot;
   ParallelMctsSearcher s(rules, eval, opts, popts);
   return s.Run(initial);
 }

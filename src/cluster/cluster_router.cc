@@ -666,6 +666,13 @@ Result<api::StatsResponse> ClusterRouter::Stats() {
           agg.retruncates += stats->retruncates;
           agg.full_execs += stats->full_execs;
           agg.fallbacks += stats->fallbacks;
+          agg.learn_store_entries += stats->learn_store_entries;
+          agg.learn_hits += stats->learn_hits;
+          agg.learn_misses += stats->learn_misses;
+          agg.learn_seeded += stats->learn_seeded;
+          agg.learn_recorded += stats->learn_recorded;
+          agg.learn_saves += stats->learn_saves;
+          agg.learn_loads += stats->learn_loads;
           for (const api::BackendStatsDto& b : stats->backends) {
             auto key = std::make_pair(b.workload, b.backend);
             auto it = backend_rows.find(key);

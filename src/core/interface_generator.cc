@@ -29,16 +29,6 @@ std::string_view AlgorithmName(Algorithm a) {
   return "?";
 }
 
-std::string_view ParallelModeName(ParallelMode m) {
-  switch (m) {
-    case ParallelMode::kRoot:
-      return "root";
-    case ParallelMode::kLeaf:
-      return "leaf";
-  }
-  return "?";
-}
-
 std::unique_ptr<Searcher> MakeSearcher(Algorithm algorithm, const RuleEngine* rules,
                                        StateEvaluator* evaluator,
                                        const SearchOptions& opts,

@@ -42,8 +42,8 @@ Result<GeneratedInterface> GenerateInterfaceFromAsts(const std::vector<Ast>& que
 
 /// Factory used by benches to sweep algorithms uniformly. When `parallel`
 /// requests more than one thread and the algorithm is MCTS, the returned
-/// searcher is the ParallelMctsSearcher (root- or leaf-parallel per
-/// `parallel.mode`); every other combination is the serial implementation.
+/// searcher is the root-parallel ParallelMctsSearcher; every other
+/// combination is the serial implementation.
 std::unique_ptr<Searcher> MakeSearcher(Algorithm algorithm, const RuleEngine* rules,
                                        StateEvaluator* evaluator,
                                        const SearchOptions& opts,

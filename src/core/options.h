@@ -20,38 +20,22 @@ enum class Algorithm : uint8_t {
 
 std::string_view AlgorithmName(Algorithm a);
 
-/// \brief How the MCTS search tree is parallelized.
-enum class ParallelMode : uint8_t {
-  /// N independent trees (one per thread) share the transposition table and
-  /// the global best tracker; results merge by visit-weighted reward.
-  /// Diversifies exploration — each tree gets its own RNG stream.
-  kRoot = 0,
-  /// One tree; the simulations of freshly expanded children fan out to the
-  /// pool (`leaf_rollouts` rollouts per child). Concentrates effort — the
-  /// tree policy sees more samples per decision.
-  kLeaf,
-};
-
-std::string_view ParallelModeName(ParallelMode m);
-
-/// \brief Knobs of the parallel search runtime.
+/// \brief Knobs of the parallel search runtime (root parallelism: one
+/// independent MCTS tree per thread; see search/parallel_mcts.h).
 ///
 /// Determinism contract: `num_threads <= 1` runs the serial searcher — the
 /// result is bit-for-bit identical for a fixed seed. With more threads,
-/// every thread draws from its own RNG stream (`Rng::Split` of the seed),
+/// every tree draws from its own RNG stream (`Rng::Split` of the seed),
 /// but search trajectories are timing-dependent: shared-cache hits consume
-/// no RNG draws while misses do, and which thread fills a shared entry
+/// no RNG draws while misses do, and which tree fills a shared entry
 /// first varies run-to-run, shifting the streams' consumption and hence
 /// the states visited. Only the seeds, not the trajectories, are
 /// reproducible beyond one thread.
 struct ParallelOptions {
-  /// Worker threads for the search; <= 1 = serial (bit-for-bit reproducible).
+  /// Worker threads (= search trees); <= 1 = serial (bit-for-bit reproducible).
   size_t num_threads = 1;
-  ParallelMode mode = ParallelMode::kRoot;
   /// Lock stripes of the shared transposition table.
   size_t tt_shards = 16;
-  /// Leaf mode: simulations fanned out per freshly expanded child.
-  size_t leaf_rollouts = 2;
 };
 
 /// \brief All knobs of the end-to-end generator, with paper defaults —

@@ -1,6 +1,7 @@
 #include "cost/evaluator.h"
 
 #include <limits>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -81,9 +82,12 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
   // State-keyed mode draws from a per-state generator so the caller's
   // stream is never consumed: a pre-seeded cache entry (transposition
   // peering) then changes how much work happens, never which values the
-  // surrounding search observes.
-  Rng state_rng(HashCombine(opts_.sampling_seed, key));
-  Rng* draw_rng = opts_.state_keyed_sampling ? &state_rng : rng;
+  // surrounding search observes. Caller-stream mode never builds it.
+  std::optional<Rng> state_rng;
+  Rng* draw_rng = rng;
+  if (opts_.state_keyed_sampling) {
+    draw_rng = &state_rng.emplace(HashCombine(opts_.sampling_seed, key));
+  }
   WidgetAssigner assigner(tree, opts_.constants, delta_.get());
   double best = kInf;
   if (assigner.viable()) {

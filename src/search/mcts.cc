@@ -94,15 +94,6 @@ size_t UnlockedApps(const SearchOptions& opts, const Node& node) {
                   ProgressiveWideningLimit(node.visits, opts.priors));
 }
 
-/// Result of one leaf-parallel simulation task (stats merged afterwards so
-/// SearchStats never needs to be thread-safe).
-struct LeafOutcome {
-  double child_cost = std::numeric_limits<double>::infinity();
-  double roll_cost = std::numeric_limits<double>::infinity();
-  DiffTree roll_best;
-  SearchStats stats;
-};
-
 }  // namespace
 
 void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
@@ -184,14 +175,15 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
   ensure_apps(root.get());
   p.tt->Visit(root->canonical);
 
-  // Persisted experience: root children matching a seed entry start with
-  // capped virtual visits and the seed cost's reward, steering early PUCT
-  // selection toward previously good actions. Pure bookkeeping — no RNG
-  // draws — so an absent (or empty) bridge leaves the run bit-identical.
+  // Persisted experience: root children matching an experience seed entry
+  // start with capped virtual visits and the seed cost's reward, steering
+  // early PUCT selection toward previously good actions. Pure bookkeeping —
+  // no RNG draws — so an absent (or empty) seed leaves the run bit-identical.
+  // Peer entries only seed costs (SeedTranspositions), never visits.
   std::unordered_map<uint64_t, const TtSeedEntry*> exp_seed;
-  if (p.experience != nullptr) {
-    exp_seed.reserve(p.experience->seed.size());
-    for (const TtSeedEntry& e : p.experience->seed) {
+  if (p.seed_bridge != nullptr) {
+    exp_seed.reserve(p.seed_bridge->experience_seed.size());
+    for (const TtSeedEntry& e : p.seed_bridge->experience_seed) {
       exp_seed.emplace(e.canonical, &e);
     }
   }
@@ -200,7 +192,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     auto it = exp_seed.find(child->canonical);
     if (it == exp_seed.end()) return;
     const uint64_t v = std::min<uint64_t>(
-        std::max<uint64_t>(it->second->visits, 1), p.experience->root_visit_cap);
+        std::max<uint64_t>(it->second->visits, 1), p.seed_bridge->root_visit_cap);
     child->visits += v;
     child->total_reward += static_cast<double>(v) * reward_of(it->second->cost);
     ++stats.root_seeded;
@@ -319,71 +311,22 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     // 3.-5. Simulation from each fresh child + backpropagation. The child's
     // own (cached) evaluation also feeds the global best tracker.
     obs::TraceSpan sim_span("mcts.simulate", "search");
-    if (p.leaf_pool != nullptr && p.leaf_pool->num_threads() > 0) {
-      // Leaf parallelism: fan the fresh children's evaluations and rollouts
-      // out to the pool. RNG streams split per (iteration, task) — the Fork
-      // below consumes exactly one tree-RNG draw per iteration, so the
-      // tree's own stream stays deterministic — and results merge in child
-      // order. Scheduling still leaks in through the shared evaluator
-      // cache: a task whose lookup hits (because a concurrent task filled
-      // the entry first) consumes fewer RNG draws, so sampled costs and the
-      // decisions built on them can vary run-to-run.
-      const size_t reps = std::max<size_t>(1, p.leaf_rollouts);
-      const Rng task_base = rng.Fork();
-      std::vector<LeafOutcome> outs(fresh.size() * reps);
-      TaskGroup group(p.leaf_pool);
-      for (size_t i = 0; i < fresh.size(); ++i) {
-        for (size_t r = 0; r < reps; ++r) {
-          const size_t slot = i * reps + r;
-          Node* child = fresh[i];
-          group.Run([&rctx, &task_base, &outs, slot, child, r] {
-            LeafOutcome& out = outs[slot];
-            Rng task_rng = task_base.Split(slot);
-            if (r == 0) {
-              out.child_cost = rctx.evaluator->SampleCost(child->state, &task_rng);
-            }
-            out.roll_cost = RolloutAndEvaluateState(rctx, child->state, &task_rng,
-                                                    &out.stats, &out.roll_best);
-          });
-        }
-      }
-      group.Wait();
-      for (size_t i = 0; i < fresh.size(); ++i) {
-        Node* child = fresh[i];
-        double best_reward = 0.0;
-        for (size_t r = 0; r < reps; ++r) {
-          LeafOutcome& out = outs[i * reps + r];
-          if (r == 0) {
-            p.tt->StoreCost(child->canonical, out.child_cost);
-            p.best->Offer(child->state, out.child_cost, watch, stats.iterations,
-                          &stats);
-            best_reward = reward_of(out.child_cost);
-          }
-          p.best->Offer(out.roll_best, out.roll_cost, watch, stats.iterations, &stats);
-          best_reward = std::max(best_reward, reward_of(out.roll_cost));
-          stats.Merge(out.stats);
-        }
-        stats.RecordRuleOutcome(child->rule_index, best_reward);
-        backprop(child, best_reward);
-      }
-    } else {
-      for (Node* child : fresh) {
-        auto cached = p.tt->LookupCost(child->canonical);
-        double child_cost =
-            cached.has_value() ? *cached : p.evaluator->SampleCost(child->state, &rng);
-        if (!cached.has_value()) p.tt->StoreCost(child->canonical, child_cost);
-        p.best->Offer(child->state, child_cost, watch, stats.iterations, &stats);
+    for (Node* child : fresh) {
+      auto cached = p.tt->LookupCost(child->canonical);
+      double child_cost =
+          cached.has_value() ? *cached : p.evaluator->SampleCost(child->state, &rng);
+      if (!cached.has_value()) p.tt->StoreCost(child->canonical, child_cost);
+      p.best->Offer(child->state, child_cost, watch, stats.iterations, &stats);
 
-        DiffTree rollout_best;
-        double roll_cost =
-            RolloutAndEvaluateState(rctx, child->state, &rng, &stats, &rollout_best);
-        p.best->Offer(rollout_best, roll_cost, watch, stats.iterations, &stats);
+      DiffTree rollout_best;
+      double roll_cost =
+          RolloutAndEvaluateState(rctx, child->state, &rng, &stats, &rollout_best);
+      p.best->Offer(rollout_best, roll_cost, watch, stats.iterations, &stats);
 
-        const double r = std::max(reward_of(child_cost), reward_of(roll_cost));
-        stats.RecordRuleOutcome(child->rule_index, r);
-        backprop(child, r);
-        if (deadline.Expired()) break;
-      }
+      const double r = std::max(reward_of(child_cost), reward_of(roll_cost));
+      stats.RecordRuleOutcome(child->rule_index, r);
+      backprop(child, r);
+      if (deadline.Expired()) break;
     }
   }
 
@@ -407,6 +350,34 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
   }
 }
 
+void SeedTranspositions(const SeedBridge* bridge, TranspositionTable* tt) {
+  if (bridge == nullptr) return;
+  for (const auto* seed : {&bridge->peer_seed, &bridge->experience_seed}) {
+    for (const TtSeedEntry& e : *seed) tt->SeedPeerCost(e.canonical, e.cost, e.visits);
+  }
+}
+
+void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
+                   size_t root_seeded, std::vector<RootActionStat>* root_actions,
+                   SeedBridge* bridge) {
+  std::stable_sort(root_actions->begin(), root_actions->end(),
+                   [](const RootActionStat& a, const RootActionStat& b) {
+                     const double ma = a.MeanReward(), mb = b.MeanReward();
+                     if (ma != mb) return ma > mb;
+                     if (a.visits != b.visits) return a.visits > b.visits;
+                     return a.canonical < b.canonical;
+                   });
+  if (bridge == nullptr) return;
+  bridge->exported.clear();
+  for (const auto& ec : tt.ExportHotCosts(bridge->export_limit)) {
+    bridge->exported.push_back({ec.key, ec.cost, ec.visits});
+  }
+  bridge->peer_hits += tt.peer_cost_hits();
+  bridge->root_actions = *root_actions;
+  bridge->root_canonical = initial.CanonicalHash();
+  bridge->seeded_root_children = root_seeded;
+}
+
 Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
   Rng rng(opts_.seed);
   Stopwatch watch;
@@ -415,26 +386,11 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
   SearchStats stats;
   SharedBestTracker best;
   best.sink = opts_.progress.get();
+  SeedBridge* bridge = opts_.seed_bridge.get();
   // A single-shard table is exactly the old per-searcher unordered_set plus
   // an in-run cost memo.
   TranspositionTable tt(1);
-  if (opts_.tt_bridge != nullptr) {
-    // Warm-start from sibling workers' discoveries. Sound only because the
-    // bridge is attached solely for state-keyed-sampling runs (costs are
-    // pure functions of the state), so a seeded hit skips work without
-    // shifting any value or RNG stream.
-    for (const TtSeedEntry& e : opts_.tt_bridge->seed) {
-      tt.SeedPeerCost(e.canonical, e.cost, e.visits);
-    }
-  }
-  if (opts_.experience != nullptr) {
-    // Persisted experience doubles as a cost seed: same soundness contract
-    // as peering (state-keyed sampling), so a hit skips a re-evaluation
-    // without shifting any value or RNG stream.
-    for (const TtSeedEntry& e : opts_.experience->seed) {
-      tt.SeedPeerCost(e.canonical, e.cost, e.visits);
-    }
-  }
+  SeedTranspositions(bridge, &tt);
   std::unique_ptr<ActionPriorModel> priors;
   if (opts_.priors.use_priors) {
     priors = std::make_unique<ActionPriorModel>(*rules_, evaluator_->queries(),
@@ -454,39 +410,13 @@ Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
   params.priors = priors.get();
   params.stop = rc.stop();
   params.timeman = rc.timeman();
-  params.experience = opts_.experience.get();
-  // Root-action stats feed the experience bridge, not SearchResult (which
-  // stays empty for serial searchers, as documented).
-  std::vector<RootActionStat> exp_root_actions;
-  if (opts_.experience != nullptr) params.root_actions = &exp_root_actions;
+  params.seed_bridge = bridge;
+  // Root-action stats feed the bridge, not SearchResult (which stays empty
+  // for serial searchers, as documented).
+  std::vector<RootActionStat> root_actions;
+  if (bridge != nullptr) params.root_actions = &root_actions;
   RunMctsTree(initial, params);
-
-  if (opts_.tt_bridge != nullptr) {
-    TtBridge& bridge = *opts_.tt_bridge;
-    bridge.exported.clear();
-    for (const auto& ec : tt.ExportHotCosts(bridge.export_limit)) {
-      bridge.exported.push_back({ec.key, ec.cost, ec.visits});
-    }
-    bridge.peer_hits += tt.peer_cost_hits();
-  }
-  if (opts_.experience != nullptr) {
-    ExperienceBridge& eb = *opts_.experience;
-    eb.exported.clear();
-    for (const auto& ec : tt.ExportHotCosts(eb.export_limit)) {
-      eb.exported.push_back({ec.key, ec.cost, ec.visits});
-    }
-    std::stable_sort(exp_root_actions.begin(), exp_root_actions.end(),
-                     [](const RootActionStat& a, const RootActionStat& b) {
-                       const double ra = a.MeanReward(), rb = b.MeanReward();
-                       if (ra != rb) return ra > rb;
-                       if (a.visits != b.visits) return a.visits > b.visits;
-                       return a.canonical < b.canonical;
-                     });
-    eb.root_actions = std::move(exp_root_actions);
-    eb.root_canonical = initial.CanonicalHash();
-    eb.seeded_root_children = stats.root_seeded;
-    eb.peer_hits += tt.peer_cost_hits();
-  }
+  HarvestSearch(initial, tt, stats.root_seeded, &root_actions, bridge);
 
   SearchResult result;
   result.best_tree = best.tree;

@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 
-#include "runtime/thread_pool.h"
 #include "runtime/tt.h"
 #include "search/search_common.h"
 
@@ -13,8 +12,8 @@ namespace ifgen {
 
 class ActionPriorModel;
 
-/// \brief Thread-safe global best tracker shared by all trees (and all leaf
-/// tasks) of one search. Only *global* improvements are recorded, so each
+/// \brief Thread-safe global best tracker shared by all trees of one
+/// search. Only *global* improvements are recorded, so each
 /// contributing tree's trace is a slice of the monotone best-so-far curve.
 struct SharedBestTracker {
   std::mutex mu;
@@ -66,11 +65,6 @@ struct MctsTreeParams {
   /// parallel ensembles compute it once and pass it to every tree so all
   /// trees normalize rewards identically.
   double anchor_cost = std::numeric_limits<double>::quiet_NaN();
-  /// When set, the simulations of freshly expanded children fan out to this
-  /// pool (leaf parallelism) with `leaf_rollouts` rollouts per child, each
-  /// on an RNG stream split deterministically per (iteration, child, repeat).
-  ThreadPool* leaf_pool = nullptr;
-  size_t leaf_rollouts = 1;
   /// When non-null, receives (canonical, visits, total_reward) of every root
   /// child after the run — the raw material for root-ensemble merging.
   std::vector<RootActionStat>* root_actions = nullptr;
@@ -80,18 +74,29 @@ struct MctsTreeParams {
   /// leaves the classic loop untouched.
   StopHandle* stop = nullptr;
   TimeManager* timeman = nullptr;
-  /// Persisted-experience seed (see ExperienceBridge): root children whose
-  /// canonical hash matches a seed entry start with capped virtual visits +
+  /// Warm-start seeds (see SeedBridge): root children whose canonical hash
+  /// matches an `experience_seed` entry start with capped virtual visits +
   /// reward. Read-only here; outputs flow through `stats` (root_seeded) and
-  /// `root_actions`. Null = off (bit-identical to the pre-experience loop).
-  const ExperienceBridge* experience = nullptr;
+  /// `root_actions`. Null = off (bit-identical to the unseeded loop).
+  const SeedBridge* seed_bridge = nullptr;
 };
 
 /// Runs one MCTS tree to its deadline/iteration budget. The algorithm is
 /// the paper's (see MctsSearcher); this free function exists so that serial
-/// search, root-parallel ensembles, and leaf-parallel search all execute
-/// the *same* tree code.
+/// search and root-parallel ensembles execute the *same* tree code.
 void RunMctsTree(const DiffTree& initial, const MctsTreeParams& params);
+
+/// Warm-starts `tt` from the bridge's seed entries, peer entries first, then
+/// experience entries (no-op for a null bridge).
+void SeedTranspositions(const SeedBridge* bridge, TranspositionTable* tt);
+
+/// Ranks `root_actions` (mean reward desc, then visits desc, then canonical
+/// asc) and, with a bridge, publishes the run's outputs into it: the hot
+/// locally sampled costs, the seeded-hit tally, the ranked root actions,
+/// the root's canonical hash, and the `root_seeded` count.
+void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
+                   size_t root_seeded, std::vector<RootActionStat>* root_actions,
+                   SeedBridge* bridge);
 
 /// \brief Monte Carlo Tree Search over difftree states (paper, "Monte Carlo
 /// Tree Search").

@@ -1,64 +1,12 @@
 #include "search/parallel_mcts.h"
 
-#include <algorithm>
 #include <unordered_map>
 
+#include "runtime/thread_pool.h"
 #include "search/priors.h"
 #include "util/logging.h"
 
 namespace ifgen {
-
-namespace {
-
-/// Warm-starts `tt` from sibling workers' exports and the persistent
-/// experience store (no-op without the respective bridge).
-void SeedFromBridge(const SearchOptions& opts, TranspositionTable* tt) {
-  if (opts.tt_bridge != nullptr) {
-    for (const TtSeedEntry& e : opts.tt_bridge->seed) {
-      tt->SeedPeerCost(e.canonical, e.cost, e.visits);
-    }
-  }
-  if (opts.experience != nullptr) {
-    for (const TtSeedEntry& e : opts.experience->seed) {
-      tt->SeedPeerCost(e.canonical, e.cost, e.visits);
-    }
-  }
-}
-
-/// Publishes the run's hot locally-discovered costs and the peer-hit tally
-/// back through the bridge.
-void ExportToBridge(const SearchOptions& opts, const TranspositionTable& tt) {
-  if (opts.tt_bridge != nullptr) {
-    TtBridge& bridge = *opts.tt_bridge;
-    bridge.exported.clear();
-    for (const auto& ec : tt.ExportHotCosts(bridge.export_limit)) {
-      bridge.exported.push_back({ec.key, ec.cost, ec.visits});
-    }
-    bridge.peer_hits += tt.peer_cost_hits();
-  }
-  if (opts.experience != nullptr) {
-    ExperienceBridge& eb = *opts.experience;
-    eb.exported.clear();
-    for (const auto& ec : tt.ExportHotCosts(eb.export_limit)) {
-      eb.exported.push_back({ec.key, ec.cost, ec.visits});
-    }
-    eb.peer_hits += tt.peer_cost_hits();
-  }
-}
-
-/// Deterministic ranking shared by every root-action export: mean reward
-/// desc, then visits desc, then canonical asc.
-void SortRootActions(std::vector<RootActionStat>* actions) {
-  std::stable_sort(actions->begin(), actions->end(),
-                   [](const RootActionStat& a, const RootActionStat& b) {
-                     const double ma = a.MeanReward(), mb = b.MeanReward();
-                     if (ma != mb) return ma > mb;
-                     if (a.visits != b.visits) return a.visits > b.visits;
-                     return a.canonical < b.canonical;
-                   });
-}
-
-}  // namespace
 
 Result<SearchResult> ParallelMctsSearcher::Run(const DiffTree& initial) {
   if (parallel_.num_threads <= 1) {
@@ -67,17 +15,12 @@ Result<SearchResult> ParallelMctsSearcher::Run(const DiffTree& initial) {
     MctsSearcher serial(rules_, evaluator_, opts_);
     return serial.Run(initial);
   }
-  return parallel_.mode == ParallelMode::kRoot ? RunRootParallel(initial)
-                                               : RunLeafParallel(initial);
-}
-
-Result<SearchResult> ParallelMctsSearcher::RunRootParallel(const DiffTree& initial) {
   const size_t trees = parallel_.num_threads;
   Stopwatch watch;
   RunControl rc(opts_);
   Deadline& deadline = rc.deadline();
   TranspositionTable tt(parallel_.tt_shards);
-  SeedFromBridge(opts_, &tt);
+  SeedTranspositions(opts_.seed_bridge.get(), &tt);
   SharedBestTracker best;
   best.sink = opts_.progress.get();
 
@@ -134,13 +77,12 @@ Result<SearchResult> ParallelMctsSearcher::RunRootParallel(const DiffTree& initi
         params.root_actions = &tree_actions[t];
         params.stop = rc.stop();
         params.timeman = rc.timeman();
-        params.experience = opts_.experience.get();
+        params.seed_bridge = opts_.seed_bridge.get();
         RunMctsTree(initial, params);
       });
     }
     group.Wait();
   }
-  ExportToBridge(opts_, tt);
 
   // Merge root actions across trees by canonical hash; rank by
   // visit-weighted mean reward.
@@ -165,67 +107,8 @@ Result<SearchResult> ParallelMctsSearcher::RunRootParallel(const DiffTree& initi
   result.stats.stop_reason = rc.Resolve(result.stats.iterations);
   result.root_actions.reserve(merged.size());
   for (const auto& [key, a] : merged) result.root_actions.push_back(a);
-  SortRootActions(&result.root_actions);
-  if (opts_.experience != nullptr) {
-    ExperienceBridge& eb = *opts_.experience;
-    eb.root_actions = result.root_actions;
-    eb.root_canonical = initial.CanonicalHash();
-    eb.seeded_root_children = result.stats.root_seeded;
-  }
-  return result;
-}
-
-Result<SearchResult> ParallelMctsSearcher::RunLeafParallel(const DiffTree& initial) {
-  Stopwatch watch;
-  RunControl rc(opts_);
-  Deadline& deadline = rc.deadline();
-  TranspositionTable tt(parallel_.tt_shards);
-  SeedFromBridge(opts_, &tt);
-  SharedBestTracker best;
-  best.sink = opts_.progress.get();
-  SearchStats stats;
-  Rng rng(opts_.seed);
-  ThreadPool pool(parallel_.num_threads);
-  std::unique_ptr<ActionPriorModel> priors;
-  if (opts_.priors.use_priors) {
-    priors = std::make_unique<ActionPriorModel>(*rules_, evaluator_->queries(),
-                                                opts_.priors);
-  }
-
-  MctsTreeParams params;
-  params.rules = rules_;
-  params.evaluator = evaluator_;
-  params.opts = opts_;
-  params.rng = &rng;
-  params.watch = &watch;
-  params.deadline = &deadline;
-  params.tt = &tt;
-  params.best = &best;
-  params.stats = &stats;
-  params.priors = priors.get();
-  params.leaf_pool = &pool;
-  params.leaf_rollouts = std::max<size_t>(1, parallel_.leaf_rollouts);
-  params.stop = rc.stop();
-  params.timeman = rc.timeman();
-  params.experience = opts_.experience.get();
-  std::vector<RootActionStat> exp_root_actions;
-  if (opts_.experience != nullptr) params.root_actions = &exp_root_actions;
-  RunMctsTree(initial, params);
-  ExportToBridge(opts_, tt);
-  if (opts_.experience != nullptr) {
-    ExperienceBridge& eb = *opts_.experience;
-    SortRootActions(&exp_root_actions);
-    eb.root_actions = std::move(exp_root_actions);
-    eb.root_canonical = initial.CanonicalHash();
-    eb.seeded_root_children = stats.root_seeded;
-  }
-
-  SearchResult result;
-  result.best_tree = best.tree;
-  result.best_cost = best.cost;
-  result.stats = std::move(stats);
-  result.stats.elapsed_ms = watch.ElapsedMillis();
-  result.stats.stop_reason = rc.Resolve(result.stats.iterations);
+  HarvestSearch(initial, tt, result.stats.root_seeded, &result.root_actions,
+                opts_.seed_bridge.get());
   return result;
 }
 

@@ -5,25 +5,15 @@
 
 namespace ifgen {
 
-/// \brief Parallel MCTS over difftree states.
+/// \brief Root-parallel MCTS over difftree states.
 ///
-/// Two strategies (paper's search is embarrassingly parallel at both
-/// levels):
-///
-///  - **Root parallelism** (`ParallelMode::kRoot`): one independent search
-///    tree per thread, each on its own RNG stream split from the seed. The
-///    trees share the sharded transposition table (so a state expanded by
-///    one tree is a recognized transposition in all others and its sampled
-///    cost is reused) and the global best tracker (the anytime result). The
-///    iteration budget is divided across trees; after the run the per-tree
-///    root actions are merged by canonical hash and ranked by
-///    visit-weighted mean reward (`SearchResult::root_actions`).
-///
-///  - **Leaf parallelism** (`ParallelMode::kLeaf`): a single tree whose
-///    freshly expanded children's simulations fan out to the pool,
-///    `leaf_rollouts` rollouts per child. Task results merge in
-///    deterministic child order; scheduling can still shift sampled costs
-///    through shared-cache timing (see ParallelOptions).
+/// One independent search tree per thread, each on its own RNG stream split
+/// from the seed. The trees share the sharded transposition table (so a
+/// state expanded by one tree is a recognized transposition in all others
+/// and its sampled cost is reused) and the global best tracker (the anytime
+/// result). The iteration budget is divided across trees; after the run the
+/// per-tree root actions are merged by canonical hash and ranked by
+/// visit-weighted mean reward (`SearchResult::root_actions`).
 ///
 /// Determinism: with `num_threads <= 1` this delegates to the serial
 /// MctsSearcher — results are bit-for-bit identical for a fixed seed (the
@@ -40,9 +30,6 @@ class ParallelMctsSearcher final : public Searcher {
   const ParallelOptions& parallel_options() const { return parallel_; }
 
  private:
-  Result<SearchResult> RunRootParallel(const DiffTree& initial);
-  Result<SearchResult> RunLeafParallel(const DiffTree& initial);
-
   ParallelOptions parallel_;
 };
 

@@ -69,24 +69,6 @@ struct TtSeedEntry {
   }
 };
 
-/// \brief Runtime wiring for transposition peering: entries to pre-seed the
-/// search's table with before the run, and the hot entries it exported
-/// after. Like `stop`/`progress`, attaching a bridge is NOT part of any
-/// cache key or fingerprint — with state-keyed sampling on (the
-/// cache_peering contract) seeding changes only the work done, never the
-/// values produced or the RNG streams consumed.
-struct TtBridge {
-  /// In: entries merged into the table before the first iteration
-  /// (first-writer-wins; the table is empty then, so all land).
-  std::vector<TtSeedEntry> seed;
-  /// Cap on entries exported after the run (hottest by visits).
-  size_t export_limit = 512;
-  /// Out: the run's hottest finite-cost entries.
-  std::vector<TtSeedEntry> exported;
-  /// Out: cost-cache hits answered by a peer-seeded entry.
-  size_t peer_hits = 0;
-};
-
 /// \brief Per-root-action statistics of a (possibly merged) MCTS root.
 ///
 /// Root-parallel ensembles merge per-tree root children by canonical hash;
@@ -101,37 +83,44 @@ struct RootActionStat {
   }
 };
 
-/// \brief Runtime wiring for the persistent experience store
-/// (src/learn/experience.h): records from past same-identity searches to
-/// warm-start this one, and this run's discoveries to merge back after.
+/// \brief Runtime wiring that warm-starts a search from known state costs
+/// and harvests what it discovered: the one bridge between a search and the
+/// service's cluster peer store and persistent experience store
+/// (src/learn/experience.h).
 ///
-/// Seeding does two things: (a) every seed entry's cost lands in the
-/// transposition table via SeedPeerCost (skips re-evaluations, sound under
-/// state-keyed sampling exactly like TtBridge), and (b) seed entries whose
-/// canonical hash matches a root child grant that child virtual visits +
-/// reward, steering early PUCT selection toward previously good actions —
-/// this is where the warm-start iteration win comes from. Like
-/// `stop`/`progress`/`tt_bridge`, attaching a bridge is NOT part of any
-/// cache key; with the bridge absent the search is bit-identical to the
-/// pre-experience behavior (zero extra RNG draws either way).
-struct ExperienceBridge {
-  /// In: records for this search's cost identity, hottest first.
-  std::vector<TtSeedEntry> seed;
-  /// Cap on the virtual visits one seed entry may grant a root child.
+/// Seeding (SeedTranspositions) merges every seed entry's cost into the
+/// transposition table — peer entries first, then experience entries,
+/// first-writer-wins — so a seeded state skips its re-evaluation. That is
+/// sound only under state-keyed sampling (GeneratorOptions::cache_peering or
+/// ::experience), where costs are pure functions of the state: seeding then
+/// changes the work done, never the values produced or the RNG streams
+/// consumed. Experience entries whose canonical hash matches a root child
+/// additionally grant that child capped virtual visits + reward, steering
+/// early PUCT selection toward previously good actions (the warm-start
+/// iteration win). Peer entries never do, so a peered run stays
+/// bit-identical to a cold run. Like `stop`/`progress`, attaching a bridge
+/// is NOT part of any cache key or fingerprint.
+struct SeedBridge {
+  /// In: sibling workers' transposition entries (cluster cache peering).
+  std::vector<TtSeedEntry> peer_seed;
+  /// In: experience-store records for this search's cost identity, hottest
+  /// first.
+  std::vector<TtSeedEntry> experience_seed;
+  /// Cap on the virtual visits one experience entry may grant a root child.
   size_t root_visit_cap = 8;
   /// Cap on entries exported after the run (hottest by visits).
   size_t export_limit = 512;
-  /// Out: the run's hottest finite-cost entries (same shape as TtBridge).
+  /// Out: the run's hottest locally sampled finite-cost entries.
   std::vector<TtSeedEntry> exported;
+  /// Out: cost-cache hits answered by a seeded entry.
+  size_t peer_hits = 0;
   /// Out: root actions ranked by visit-weighted mean reward (merged across
   /// trees for parallel ensembles) — the "best action" training signal.
   std::vector<RootActionStat> root_actions;
   /// Out: canonical hash of the search's initial state.
   uint64_t root_canonical = 0;
-  /// Out: root children that received virtual visits from the seed.
+  /// Out: root children that received virtual visits from experience_seed.
   size_t seeded_root_children = 0;
-  /// Out: cost-cache hits answered by a seeded entry.
-  size_t peer_hits = 0;
 };
 
 /// \brief Options shared by every search algorithm.
@@ -203,15 +192,10 @@ struct SearchOptions {
   /// versioned event. Null = off. Publishing consumes no RNG draws and
   /// changes no control flow, so attaching a sink never perturbs results.
   std::shared_ptr<ProgressSink> progress;
-  /// Transposition peering bridge (see TtBridge). Null = off. Runtime
-  /// wiring only — NOT part of any cache key or fingerprint; requires
-  /// cache_peering (state-keyed sampling) for bit-identity under seeding.
-  std::shared_ptr<TtBridge> tt_bridge;
-  /// Persistent-experience bridge (see ExperienceBridge). Null = off.
+  /// Warm-start seeds in, discoveries out (see SeedBridge). Null = off.
   /// Runtime wiring only — NOT part of any cache key or fingerprint;
-  /// requires state-keyed sampling (GeneratorOptions::experience) for
-  /// bit-identity of sampled costs under seeding.
-  std::shared_ptr<ExperienceBridge> experience;
+  /// requires state-keyed sampling for bit-identity under seeding.
+  std::shared_ptr<SeedBridge> seed_bridge;
 };
 
 /// \brief (time, cost) samples of the best-so-far curve, for anytime plots.
@@ -241,7 +225,7 @@ struct SearchStats {
   size_t fanout_sum = 0;
   size_t fanout_max = 0;
 
-  /// Root children granted virtual visits from an ExperienceBridge seed.
+  /// Root children granted virtual visits from SeedBridge::experience_seed.
   size_t root_seeded = 0;
 
   // Per-rule outcome accumulators, indexed by RuleEngine rule index: how
@@ -292,8 +276,8 @@ struct SearchResult {
 };
 
 /// \brief Everything a rollout needs; lets rollout helpers run as free
-/// functions on any thread (the parallel searchers fan rollouts out to a
-/// pool, where member functions bound to one searcher would not do).
+/// functions on any thread (every root-parallel tree rolls out on its own
+/// thread, where member functions bound to one searcher would not do).
 struct RolloutContext {
   const RuleEngine* rules = nullptr;
   StateEvaluator* evaluator = nullptr;

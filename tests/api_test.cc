@@ -384,6 +384,21 @@ TEST(Dto, OutOfRangeOptionsRejected) {
   }
 }
 
+TEST(Dto, OnlyRootParallelismAccepted) {
+  // The wire field survives for v1 compatibility; root parallelism is the
+  // only parallel search, so any other mode is a loud error naming it.
+  ApiOptions o;
+  o.parallel_mode = "leaf";
+  auto converted = o.ToGeneratorOptions();
+  ASSERT_FALSE(converted.ok());
+  EXPECT_EQ(converted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(converted.status().message().find("root"), std::string::npos)
+      << converted.status().message();
+
+  o.parallel_mode = "root";
+  EXPECT_TRUE(o.ToGeneratorOptions().ok());
+}
+
 TEST(Dto, EventKindFieldMismatchRejected) {
   // A field outside the kind's set is a loud error, not silently ignored.
   auto v = ParseJson(R"({"kind":"set_opt","choice_id":1,"present":true,"count":2})");

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -224,12 +225,20 @@ class ClusterTest : public ::testing::Test {
  protected:
   static constexpr int kWorkers = 3;
 
-  void StartCluster(size_t max_inflight = 64, bool cache_peering = true) {
+  /// A non-empty `experience_dir` gives every worker its own persistent
+  /// experience store file under that directory.
+  void StartCluster(size_t max_inflight = 64, bool cache_peering = true,
+                    const std::string& experience_dir = "") {
     auto self = cluster::SelfExePath();
     ASSERT_TRUE(self.ok()) << self.status().ToString();
     ClusterRouter::Options ropts;
     for (int i = 0; i < kWorkers; ++i) {
-      auto w = cluster::SpawnWorkerProcess(*self, WorkerArgs());
+      std::vector<std::string> args = WorkerArgs();
+      if (!experience_dir.empty()) {
+        args.insert(args.end(), {"--experience-dir", experience_dir,
+                                 "--worker-index", std::to_string(i)});
+      }
+      auto w = cluster::SpawnWorkerProcess(*self, args);
       ASSERT_TRUE(w.ok()) << w.status().ToString();
       spawned_.push_back(*w);
       ropts.workers.push_back({"127.0.0.1", w->port});
@@ -847,6 +856,64 @@ TEST_F(ClusterTest, PeeringOffAblationMatchesBaselineWithNoPeerTraffic) {
   EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::tt_peer_ingested), 0);
   EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::tt_published), 0);
   EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::result_peer_hits), 0);
+}
+
+// ------------------------------------------------- experience counters
+
+/// The router's aggregated Stats() sums the workers' experience (`learn_*`)
+/// counters like every other total: after experience jobs, its
+/// learn_seeded equals the sum of what each worker's own stats.get reports.
+TEST_F(ClusterTest, RouterStatsSumWorkerLearnCounters) {
+  char tmpl[] = "/tmp/ifgen_cluster_exp_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  StartCluster(/*max_inflight=*/64, /*cache_peering=*/false, dir);
+
+  // One more job than workers, sequentially: same seed and workload (one
+  // experience identity), distinct budgets (distinct result-cache keys), so
+  // at least one worker runs a second job that seeds from its first.
+  for (int64_t budget = 12; budget < 12 + 2 * (kWorkers + 1); budget += 2) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    GenerateRequest req;
+    req.workload = "flights";
+    req.options = FastGenOptions();
+    req.options.max_iterations = budget;
+    req.options.experience = true;
+    auto accepted = router_.SubmitGenerate(req);
+    ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+    auto done = router_.GetJob(accepted->job_id, /*wait_ms=*/30000);
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+    ASSERT_EQ(done->state, "done");
+  }
+
+  api::StatsResponse direct;
+  for (const cluster::SpawnedWorker& w : spawned_) {
+    RpcEnvelope env;
+    env.method = api::kMethodStats;
+    env.request_id = 7;
+    auto reply = RawCall(w.port, env.ToJson());
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->ok) << reply->error.message;
+    auto stats = api::StatsResponse::FromJson(reply->payload);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    direct.learn_seeded += stats->learn_seeded;
+    direct.learn_recorded += stats->learn_recorded;
+    direct.learn_store_entries += stats->learn_store_entries;
+  }
+  auto agg = router_.Stats();
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  EXPECT_GT(direct.learn_seeded, 0);
+  EXPECT_EQ(agg->learn_seeded, direct.learn_seeded);
+  EXPECT_EQ(agg->learn_recorded, direct.learn_recorded);
+  EXPECT_EQ(agg->learn_store_entries, direct.learn_store_entries);
+
+  router_.Stop();
+  for (const cluster::SpawnedWorker& w : spawned_) {
+    cluster::TerminateWorker(w.pid, /*grace_ms=*/5000);
+  }
+  spawned_.clear();
+  const std::string rm = "rm -rf '" + dir + "'";
+  [[maybe_unused]] int rc = std::system(rm.c_str());
 }
 
 }  // namespace

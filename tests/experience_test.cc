@@ -31,9 +31,12 @@
 #include "cluster/frame.h"
 #include "cluster/process.h"
 #include "core/json_export.h"
+#include "difftree/builder.h"
 #include "learn/experience.h"
 #include "learn/prior_fit.h"
 #include "runtime/service.h"
+#include "search/mcts.h"
+#include "sql/parser.h"
 #include "util/json.h"
 #include "workload/loader.h"
 
@@ -440,6 +443,79 @@ TEST(ExperienceService, WarmStartSeedsFromRecordedExperience) {
   const auto counters = warm.counters_snapshot();
   EXPECT_GT(counters.learn_seeded, 0u);
   EXPECT_GT(result->stats.root_seeded, 0u);
+}
+
+/// One SeedBridge carries both seed kinds, but only experience entries may
+/// grant root children virtual visits: peer entries seed costs alone, so a
+/// peered search stays bit-identical to a cold one.
+TEST(SeedBridge, OnlyExperienceEntriesGrantRootVisits) {
+  auto bundle = LoadWorkload("flights", 200);
+  ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  auto queries = ParseQueries(bundle->log);
+  ASSERT_TRUE(queries.ok()) << queries.status().ToString();
+  auto initial = BuildInitialTree(*queries);
+  ASSERT_TRUE(initial.ok()) << initial.status().ToString();
+  RuleEngine rules;
+
+  GeneratorOptions gen;
+  gen.experience = true;  // state-keyed sampling: seeded costs are exact
+  gen.search.time_budget_ms = 0;
+  gen.search.max_iterations = 4;
+  gen.search.seed = 3;
+  // Expand every root child in the first iteration, before any seed can
+  // steer selection, so each run sees the same root children.
+  gen.search.priors.progressive_widening = false;
+  gen.search.max_expansions_per_iteration = 100000;
+  auto run = [&](const std::shared_ptr<SeedBridge>& bridge) {
+    StateEvaluator eval(gen.MakeEvalOptions(), *queries);
+    SearchOptions opts = gen.search;
+    opts.seed_bridge = bridge;
+    MctsSearcher searcher(&rules, &eval, opts);
+    return searcher.Run(*initial);
+  };
+
+  // A cold run harvests the root children and their sampled costs.
+  auto cold_bridge = std::make_shared<SeedBridge>();
+  cold_bridge->export_limit = 1u << 20;
+  auto cold = run(cold_bridge);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  std::vector<TtSeedEntry> root_children;
+  for (const RootActionStat& a : cold_bridge->root_actions) {
+    for (const TtSeedEntry& e : cold_bridge->exported) {
+      if (e.canonical == a.canonical) root_children.push_back(e);
+    }
+  }
+  ASSERT_GE(root_children.size(), 2u);
+  const TtSeedEntry& p = root_children[0];
+  const TtSeedEntry& x = root_children[1];
+
+  // Peer entries only: no virtual visits, bit-identical to the cold run.
+  auto peer_only = std::make_shared<SeedBridge>();
+  peer_only->peer_seed = {p, x};
+  auto peered = run(peer_only);
+  ASSERT_TRUE(peered.ok());
+  EXPECT_EQ(peer_only->seeded_root_children, 0u);
+  EXPECT_EQ(peered->stats.root_seeded, 0u);
+  EXPECT_GT(peer_only->peer_hits, 0u);
+  EXPECT_EQ(peered->best_cost, cold->best_cost);
+  EXPECT_EQ(peered->best_tree, cold->best_tree);
+  EXPECT_EQ(peered->stats.iterations, cold->stats.iterations);
+
+  // Both kinds: only the experience entry grants visits, even though the
+  // peer entry matches a root child too (and x appears in both lists).
+  auto mixed = std::make_shared<SeedBridge>();
+  mixed->peer_seed = {p, x};
+  mixed->experience_seed = {x};
+  auto mixed_run = run(mixed);
+  ASSERT_TRUE(mixed_run.ok());
+  EXPECT_EQ(mixed->seeded_root_children, 1u);
+  EXPECT_EQ(mixed_run->stats.root_seeded, 1u);
+
+  // Control: the same two entries as experience seeds both grant visits.
+  auto learned = std::make_shared<SeedBridge>();
+  learned->experience_seed = {p, x};
+  ASSERT_TRUE(run(learned).ok());
+  EXPECT_EQ(learned->seeded_root_children, 2u);
 }
 
 TEST(ExperienceService, SaveWhileSearchingIsSafe) {

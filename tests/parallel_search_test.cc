@@ -87,7 +87,6 @@ TEST(ParallelMcts, RootParallelImprovesOverInitialState) {
   StateEvaluator eval(SmallEvalOptions(), queries);
   ParallelOptions popts;
   popts.num_threads = 3;
-  popts.mode = ParallelMode::kRoot;
   ParallelMctsSearcher searcher(&rules, &eval, FastOptions(30), popts);
   auto r = searcher.Run(initial);
   ASSERT_TRUE(r.ok());
@@ -102,22 +101,6 @@ TEST(ParallelMcts, RootParallelImprovesOverInitialState) {
   for (size_t i = 1; i < r->root_actions.size(); ++i) {
     EXPECT_GE(r->root_actions[i - 1].MeanReward(), r->root_actions[i].MeanReward());
   }
-}
-
-TEST(ParallelMcts, LeafParallelImprovesOverInitialState) {
-  auto queries = SmallLog();
-  RuleEngine rules;
-  DiffTree initial = *BuildInitialTree(queries);
-  StateEvaluator eval(SmallEvalOptions(), queries);
-  ParallelOptions popts;
-  popts.num_threads = 2;
-  popts.mode = ParallelMode::kLeaf;
-  popts.leaf_rollouts = 2;
-  ParallelMctsSearcher searcher(&rules, &eval, FastOptions(20), popts);
-  auto r = searcher.Run(initial);
-  ASSERT_TRUE(r.ok());
-  EXPECT_LT(r->best_cost, r->stats.initial_cost);
-  EXPECT_GT(r->stats.rollouts, 0u);
 }
 
 TEST(ParallelMcts, SharedTranspositionTableDeduplicatesAcrossTrees) {
