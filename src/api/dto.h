@@ -25,6 +25,13 @@ namespace api {
 ///    OutOfRange), never crashes — `ErrorBody` carries the stable
 ///    `StatusCodeName` string for every failure that crosses a transport.
 ///  - DTOs are flat and versioned as a set: breaking changes mean a /v2.
+///  - Every DTO declares its wire fields once: one field table per DTO (in
+///    dto.cc / rpc.cc, machinery in api/wire_fields.h) drives ToJson,
+///    FromJson, operator== and the cluster router's counter sum. Adding a
+///    wire field is one table line plus its pin in
+///    `Dto.GoldenWirePinsEveryDto`. WidgetEventRequest, RowChangeDto and
+///    RpcReply, whose shape depends on a value, keep a hand-written codec;
+///    their operator== still comes from the table.
 ///
 /// The HTTP front-end (src/http) is a thin adapter over these types; any
 /// other transport (gRPC, a message queue, in-process embedding) reuses
@@ -82,8 +89,9 @@ Result<Value> ValueFromJson(const JsonValue& j);
 /// Unavailable (503, worker unreachable/draining) — where the same request
 /// retried after a backoff is expected to succeed. All other codes are hard
 /// failures; retrying without changing the request will fail again. The bit
-/// is derived from `code` on both encode and decode, so it survives a wire
-/// hop without becoming an independent source of truth.
+/// is derived from `code` on both encode and decode (the decoder accepts a
+/// sent bit but ignores it), so it survives a wire hop without becoming an
+/// independent source of truth.
 struct ErrorBody {
   std::string code;  ///< stable StatusCodeName string ("InvalidArgument")
   std::string message;
@@ -97,9 +105,7 @@ struct ErrorBody {
 
   JsonValue ToJson() const;
   static Result<ErrorBody> FromJson(const JsonValue& v);
-  bool operator==(const ErrorBody& o) const {
-    return code == o.code && message == o.message && retryable == o.retryable;
-  }
+  bool operator==(const ErrorBody& o) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -162,9 +168,7 @@ struct GenerateRequest {
 
   JsonValue ToJson() const;
   static Result<GenerateRequest> FromJson(const JsonValue& v);
-  bool operator==(const GenerateRequest& o) const {
-    return workload == o.workload && sqls == o.sqls && options == o.options;
-  }
+  bool operator==(const GenerateRequest& o) const;
 };
 
 /// \brief 202 body of POST /v1/generate: the async job handle.
@@ -174,9 +178,7 @@ struct GenerateAccepted {
 
   JsonValue ToJson() const;
   static Result<GenerateAccepted> FromJson(const JsonValue& v);
-  bool operator==(const GenerateAccepted& o) const {
-    return job_id == o.job_id && state == o.state;
-  }
+  bool operator==(const GenerateAccepted& o) const;
 };
 
 /// \brief One (time, iteration, cost) sample of the best-so-far curve —
@@ -188,9 +190,7 @@ struct TracePoint {
 
   JsonValue ToJson() const;
   static Result<TracePoint> FromJson(const JsonValue& v);
-  bool operator==(const TracePoint& o) const {
-    return ms == o.ms && iteration == o.iteration && cost == o.cost;
-  }
+  bool operator==(const TracePoint& o) const;
 };
 
 /// \brief Search instrumentation exposed per job.
@@ -244,16 +244,7 @@ struct JobResultDto {
   std::optional<GenerateResponse> value;
   std::optional<ErrorBody> error;  ///< state == "failed"/"cancelled"
 
-  /// Appends `value` under `value_field` and `error` under "error" to an
-  /// enclosing response object (absent halves are omitted, not null).
-  void AppendToJson(JsonValue* obj, const char* value_field) const;
-  /// Inverse of AppendToJson over the Child pointers an ObjectReader
-  /// already consumed (null = absent).
-  static Result<JobResultDto> FromFields(const JsonValue* value_json,
-                                         const JsonValue* error_json);
-  bool operator==(const JobResultDto& o) const {
-    return value == o.value && error == o.error;
-  }
+  bool operator==(const JobResultDto& o) const;
 };
 
 /// \brief GET /v1/jobs/{id}: job state, phase timings, and (terminal only)
@@ -305,9 +296,7 @@ struct SessionOpenRequest {
 
   JsonValue ToJson() const;
   static Result<SessionOpenRequest> FromJson(const JsonValue& v);
-  bool operator==(const SessionOpenRequest& o) const {
-    return job_id == o.job_id && workload == o.workload && backend == o.backend;
-  }
+  bool operator==(const SessionOpenRequest& o) const;
 };
 
 /// \brief A result table on the wire: column names plus rows of exact
@@ -319,9 +308,7 @@ struct TableDto {
   static TableDto FromTable(const Table& t);
   JsonValue ToJson() const;
   static Result<TableDto> FromJson(const JsonValue& v);
-  bool operator==(const TableDto& o) const {
-    return columns == o.columns && rows == o.rows;
-  }
+  bool operator==(const TableDto& o) const;
 };
 
 struct SessionOpenResponse {
@@ -389,9 +376,7 @@ struct RowChangeDto {
   static RowChangeDto FromChange(const InteractiveRuntime::RowChange& c);
   JsonValue ToJson() const;
   static Result<RowChangeDto> FromJson(const JsonValue& v);
-  bool operator==(const RowChangeDto& o) const {
-    return kind == o.kind && row == o.row && old_row == o.old_row;
-  }
+  bool operator==(const RowChangeDto& o) const;
 };
 
 /// \brief Wire form of InteractiveRuntime::ChangeBatch: the row diffs from
@@ -434,9 +419,7 @@ struct TableInfo {
 
   JsonValue ToJson() const;
   static Result<TableInfo> FromJson(const JsonValue& v);
-  bool operator==(const TableInfo& o) const {
-    return name == o.name && rows == o.rows && columns == o.columns;
-  }
+  bool operator==(const TableInfo& o) const;
 };
 
 struct WorkloadInfo {
@@ -456,9 +439,7 @@ struct CatalogResponse {
 
   JsonValue ToJson() const;
   static Result<CatalogResponse> FromJson(const JsonValue& v);
-  bool operator==(const CatalogResponse& o) const {
-    return workloads == o.workloads && backends == o.backends;
-  }
+  bool operator==(const CatalogResponse& o) const;
 };
 
 struct BackendStatsDto {
@@ -509,9 +490,7 @@ struct ClusterResponse {
 
   JsonValue ToJson() const;
   static Result<ClusterResponse> FromJson(const JsonValue& v);
-  bool operator==(const ClusterResponse& o) const {
-    return mode == o.mode && workers == o.workers;
-  }
+  bool operator==(const ClusterResponse& o) const;
 };
 
 /// \brief GET /v1/stats: nested per-component objects — `jobs`, `sessions`,
@@ -550,6 +529,13 @@ struct StatsResponse {
   static Result<StatsResponse> FromJson(const JsonValue& v);
   bool operator==(const StatsResponse& o) const;
 };
+
+/// Adds every integer counter of `from` into `into` by walking T's field
+/// table; strings, flags and arrays are left alone. Defined for
+/// StatsResponse (nested groups included) and BackendStatsDto: a counter
+/// added to either DTO is summed by the cluster router with no router edit.
+template <typename T>
+void AddCounters(const T& from, T* into);
 
 }  // namespace api
 }  // namespace ifgen

@@ -1,25 +1,25 @@
 #include "api/rpc.h"
 
+#include "api/wire_fields.h"
+
 namespace ifgen {
 namespace api {
 
-namespace {
-
-/// Full-width uint64 <-> lowercase hex (no 0x prefix). The strict Int codec
-/// is int64, and canonical hashes / store keys use all 64 bits.
-std::string U64ToHex(uint64_t v) {
+JsonValue Codec<uint64_t>::Encode(uint64_t v) {
   static const char* kDigits = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
     out[static_cast<size_t>(i)] = kDigits[v & 0xF];
     v >>= 4;
   }
-  return out;
+  return JsonValue::Str(std::move(out));
 }
 
-Result<uint64_t> HexToU64(const std::string& s, const char* what) {
+namespace {
+
+Result<uint64_t> HexToU64(const std::string& s, const std::string& path) {
   if (s.empty() || s.size() > 16) {
-    return Status::Invalid(std::string(what) + ": bad hex '" + s + "'");
+    return Status::Invalid(path + ": bad hex '" + s + "'");
   }
   uint64_t v = 0;
   for (char c : s) {
@@ -31,7 +31,7 @@ Result<uint64_t> HexToU64(const std::string& s, const char* what) {
     } else if (c >= 'A' && c <= 'F') {
       digit = static_cast<uint64_t>(c - 'A') + 10;
     } else {
-      return Status::Invalid(std::string(what) + ": bad hex '" + s + "'");
+      return Status::Invalid(path + ": bad hex '" + s + "'");
     }
     v = (v << 4) | digit;
   }
@@ -40,28 +40,51 @@ Result<uint64_t> HexToU64(const std::string& s, const char* what) {
 
 }  // namespace
 
-JsonValue RpcEnvelope::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("api_version", JsonValue::Str(api_version));
-  v.Set("method", JsonValue::Str(method));
-  v.Set("request_id", JsonValue::Int(request_id));
-  v.Set("payload", payload);
-  return v;
+Status Codec<uint64_t>::Decode(const JsonValue& j, const std::string& path,
+                               uint64_t* out) {
+  if (!j.is_string()) return Status::Invalid(path + ": must be a hex string");
+  IFGEN_ASSIGN_OR_RETURN(*out, HexToU64(j.AsString(), path));
+  return Status::OK();
 }
 
+/// One transposition entry on the wire: {"h": hex hash, "c": cost,
+/// "v": visits}. TtSeedEntry lives in search/, so its codec lives here.
+template <>
+struct Codec<TtSeedEntry> : NestedCodec {
+  static JsonValue Encode(const TtSeedEntry& e) {
+    JsonValue v = JsonValue::Object();
+    v.Set("h", Codec<uint64_t>::Encode(e.canonical));
+    v.Set("c", JsonValue::Double(e.cost));
+    v.Set("v", JsonValue::Int(static_cast<int64_t>(e.visits)));
+    return v;
+  }
+  static Status Decode(const JsonValue& j, const std::string& path,
+                       TtSeedEntry* out) {
+    std::string hex;
+    int64_t visits = 0;
+    ObjectReader r(j, path);
+    r.String("h", &hex, /*required=*/true);
+    r.Double("c", &out->cost, /*required=*/true);
+    r.Int("v", &visits, /*required=*/false, 0);
+    IFGEN_RETURN_NOT_OK(r.Finish());
+    out->visits = static_cast<uint64_t>(visits);
+    IFGEN_ASSIGN_OR_RETURN(out->canonical, HexToU64(hex, path + ".h"));
+    return Status::OK();
+  }
+};
+
+IFGEN_WIRE_FIELDS(RpcEnvelope, "RpcEnvelope",
+                  Field<&RpcEnvelope::api_version>("api_version").Required(),
+                  Field<&RpcEnvelope::method>("method").Required(),
+                  Field<&RpcEnvelope::request_id>("request_id"),
+                  Field<&RpcEnvelope::payload>("payload"))
+
+JsonValue RpcEnvelope::ToJson() const { return WireEncode(*this); }
+
 Result<RpcEnvelope> RpcEnvelope::FromJson(const JsonValue& v) {
-  RpcEnvelope e;
-  ObjectReader r(v, "RpcEnvelope");
-  r.String("api_version", &e.api_version, /*required=*/true);
-  r.String("method", &e.method, /*required=*/true);
-  r.Int("request_id", &e.request_id);
-  const JsonValue* payload = r.Child("payload");
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  if (payload != nullptr) {
-    if (!payload->is_object()) {
-      return Status::Invalid("RpcEnvelope.payload must be an object");
-    }
-    e.payload = *payload;
+  IFGEN_ASSIGN_OR_RETURN(RpcEnvelope e, WireDecode<RpcEnvelope>(v));
+  if (!e.payload.is_object()) {
+    return Status::Invalid("RpcEnvelope.payload must be an object");
   }
   return e;
 }
@@ -82,6 +105,15 @@ RpcReply RpcReply::Failure(int64_t request_id, const Status& s) {
   return r;
 }
 
+// `ok` selects payload or error, and `epoch` is omitted at 0 (pre-epoch
+// peers), so the codec is hand-written.
+IFGEN_WIRE_FIELDS(RpcReply, "RpcReply",
+                  Field<&RpcReply::request_id>("request_id"),
+                  Field<&RpcReply::ok>("ok"),
+                  Field<&RpcReply::epoch>("epoch"),
+                  Field<&RpcReply::payload>("payload"),
+                  Field<&RpcReply::error>("error"))
+
 JsonValue RpcReply::ToJson() const {
   JsonValue v = JsonValue::Object();
   v.Set("request_id", JsonValue::Int(request_id));
@@ -97,7 +129,7 @@ JsonValue RpcReply::ToJson() const {
 
 Result<RpcReply> RpcReply::FromJson(const JsonValue& v) {
   RpcReply rep;
-  ObjectReader r(v, "RpcReply");
+  ObjectReader r(v, Fields<RpcReply>::kWhat);
   r.Int("request_id", &rep.request_id);
   r.Bool("ok", &rep.ok, /*required=*/true);
   r.Int("epoch", &rep.epoch, /*required=*/false, 0);
@@ -118,213 +150,62 @@ Result<RpcReply> RpcReply::FromJson(const JsonValue& v) {
   return rep;
 }
 
-JsonValue IdRequest::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("id", JsonValue::Str(id));
-  v.Set("wait_ms", JsonValue::Int(wait_ms));
-  return v;
-}
+IFGEN_WIRE_FIELDS(IdRequest, "IdRequest",
+                  Field<&IdRequest::id>("id").Required(),
+                  Field<&IdRequest::wait_ms>("wait_ms").AtLeast(0))
+IFGEN_WIRE_CODEC(IdRequest)
 
-Result<IdRequest> IdRequest::FromJson(const JsonValue& v) {
-  IdRequest q;
-  ObjectReader r(v, "IdRequest");
-  r.String("id", &q.id, /*required=*/true);
-  r.Int("wait_ms", &q.wait_ms, /*required=*/false, 0);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return q;
-}
+IFGEN_WIRE_FIELDS(ProgressRequest, "ProgressRequest",
+                  Field<&ProgressRequest::job_id>("job_id").Required(),
+                  Field<&ProgressRequest::last_seen_version>("last_seen_version")
+                      .AtLeast(0),
+                  Field<&ProgressRequest::wait_ms>("wait_ms").AtLeast(0))
+IFGEN_WIRE_CODEC(ProgressRequest)
 
-JsonValue ProgressRequest::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("job_id", JsonValue::Str(job_id));
-  v.Set("last_seen_version", JsonValue::Int(last_seen_version));
-  v.Set("wait_ms", JsonValue::Int(wait_ms));
-  return v;
-}
+IFGEN_WIRE_FIELDS(SessionEventRequest, "SessionEventRequest",
+                  Field<&SessionEventRequest::session_id>("session_id").Required(),
+                  Field<&SessionEventRequest::event>("event").Required())
+IFGEN_WIRE_CODEC(SessionEventRequest)
 
-Result<ProgressRequest> ProgressRequest::FromJson(const JsonValue& v) {
-  ProgressRequest q;
-  ObjectReader r(v, "ProgressRequest");
-  r.String("job_id", &q.job_id, /*required=*/true);
-  r.Int("last_seen_version", &q.last_seen_version, /*required=*/false, 0);
-  r.Int("wait_ms", &q.wait_ms, /*required=*/false, 0);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return q;
-}
+IFGEN_WIRE_FIELDS(WorkerPingResponse, "WorkerPingResponse",
+                  Field<&WorkerPingResponse::jobs_submitted>("jobs_submitted"),
+                  Field<&WorkerPingResponse::jobs_executed>("jobs_executed"),
+                  Field<&WorkerPingResponse::jobs_pending>("jobs_pending"),
+                  Field<&WorkerPingResponse::sessions_active>("sessions_active"),
+                  Field<&WorkerPingResponse::draining>("draining"),
+                  Field<&WorkerPingResponse::cache_probes>("cache_probes")
+                      .AtLeast(0),
+                  Field<&WorkerPingResponse::cache_probe_hits>("cache_probe_hits")
+                      .AtLeast(0),
+                  Field<&WorkerPingResponse::tt_peer_ingested>("tt_peer_ingested")
+                      .AtLeast(0),
+                  Field<&WorkerPingResponse::tt_peer_hits>("tt_peer_hits")
+                      .AtLeast(0))
+IFGEN_WIRE_CODEC(WorkerPingResponse)
 
-JsonValue SessionEventRequest::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("session_id", JsonValue::Str(session_id));
-  v.Set("event", event.ToJson());
-  return v;
-}
+IFGEN_WIRE_FIELDS(CacheProbeResponse, "CacheProbeResponse",
+                  Field<&CacheProbeResponse::hit>("hit").Required())
+IFGEN_WIRE_CODEC(CacheProbeResponse)
 
-Result<SessionEventRequest> SessionEventRequest::FromJson(const JsonValue& v) {
-  SessionEventRequest q;
-  ObjectReader r(v, "SessionEventRequest");
-  r.String("session_id", &q.session_id, /*required=*/true);
-  const JsonValue* event = r.Child("event", /*required=*/true);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  IFGEN_ASSIGN_OR_RETURN(q.event, WidgetEventRequest::FromJson(*event));
-  return q;
-}
+IFGEN_WIRE_FIELDS(TtExportRequest, "TtExportRequest",
+                  Field<&TtExportRequest::max_entries>("max_entries").AtLeast(256))
+IFGEN_WIRE_CODEC(TtExportRequest)
 
-JsonValue WorkerPingResponse::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("jobs_submitted", JsonValue::Int(jobs_submitted));
-  v.Set("jobs_executed", JsonValue::Int(jobs_executed));
-  v.Set("jobs_pending", JsonValue::Int(jobs_pending));
-  v.Set("sessions_active", JsonValue::Int(sessions_active));
-  v.Set("draining", JsonValue::Bool(draining));
-  v.Set("cache_probes", JsonValue::Int(cache_probes));
-  v.Set("cache_probe_hits", JsonValue::Int(cache_probe_hits));
-  v.Set("tt_peer_ingested", JsonValue::Int(tt_peer_ingested));
-  v.Set("tt_peer_hits", JsonValue::Int(tt_peer_hits));
-  return v;
-}
+IFGEN_WIRE_FIELDS(TtBatchDto, "TtBatchDto",
+                  Field<&TtBatchDto::store_key>("store_key").Required(),
+                  Field<&TtBatchDto::entries>("entries").Required())
+IFGEN_WIRE_CODEC(TtBatchDto)
 
-Result<WorkerPingResponse> WorkerPingResponse::FromJson(const JsonValue& v) {
-  WorkerPingResponse p;
-  ObjectReader r(v, "WorkerPingResponse");
-  r.Int("jobs_submitted", &p.jobs_submitted);
-  r.Int("jobs_executed", &p.jobs_executed);
-  r.Int("jobs_pending", &p.jobs_pending);
-  r.Int("sessions_active", &p.sessions_active);
-  r.Bool("draining", &p.draining);
-  r.Int("cache_probes", &p.cache_probes, /*required=*/false, 0);
-  r.Int("cache_probe_hits", &p.cache_probe_hits, /*required=*/false, 0);
-  r.Int("tt_peer_ingested", &p.tt_peer_ingested, /*required=*/false, 0);
-  r.Int("tt_peer_hits", &p.tt_peer_hits, /*required=*/false, 0);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return p;
-}
+IFGEN_WIRE_FIELDS(TtSyncDto, "TtSyncDto",
+                  Field<&TtSyncDto::batches>("batches").Required())
+IFGEN_WIRE_CODEC(TtSyncDto)
 
-JsonValue CacheProbeResponse::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("hit", JsonValue::Bool(hit));
-  return v;
-}
+IFGEN_WIRE_FIELDS(TtSyncAck, "TtSyncAck",
+                  Field<&TtSyncAck::ingested>("ingested").AtLeast(0))
+IFGEN_WIRE_CODEC(TtSyncAck)
 
-Result<CacheProbeResponse> CacheProbeResponse::FromJson(const JsonValue& v) {
-  CacheProbeResponse p;
-  ObjectReader r(v, "CacheProbeResponse");
-  r.Bool("hit", &p.hit, /*required=*/true);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return p;
-}
-
-JsonValue TtExportRequest::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("max_entries", JsonValue::Int(max_entries));
-  return v;
-}
-
-Result<TtExportRequest> TtExportRequest::FromJson(const JsonValue& v) {
-  TtExportRequest q;
-  ObjectReader r(v, "TtExportRequest");
-  r.Int("max_entries", &q.max_entries, /*required=*/false, 256);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return q;
-}
-
-bool TtBatchDto::operator==(const TtBatchDto& o) const {
-  return store_key == o.store_key && entries == o.entries;
-}
-
-JsonValue TtBatchDto::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("store_key", JsonValue::Str(U64ToHex(store_key)));
-  JsonValue arr = JsonValue::Array();
-  for (const TtSeedEntry& e : entries) {
-    JsonValue ev = JsonValue::Object();
-    ev.Set("h", JsonValue::Str(U64ToHex(e.canonical)));
-    ev.Set("c", JsonValue::Double(e.cost));
-    ev.Set("v", JsonValue::Int(static_cast<int64_t>(e.visits)));
-    arr.Append(std::move(ev));
-  }
-  v.Set("entries", std::move(arr));
-  return v;
-}
-
-Result<TtBatchDto> TtBatchDto::FromJson(const JsonValue& v) {
-  TtBatchDto b;
-  std::string store_hex;
-  ObjectReader r(v, "TtBatchDto");
-  r.String("store_key", &store_hex, /*required=*/true);
-  const JsonValue* entries = r.Child("entries", /*required=*/true);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  IFGEN_ASSIGN_OR_RETURN(b.store_key, HexToU64(store_hex, "TtBatchDto.store_key"));
-  if (!entries->is_array()) {
-    return Status::Invalid("TtBatchDto.entries must be an array");
-  }
-  b.entries.reserve(entries->items().size());
-  for (const JsonValue& ev : entries->items()) {
-    TtSeedEntry e;
-    std::string hex;
-    int64_t visits = 0;
-    ObjectReader er(ev, "TtBatchDto.entry");
-    er.String("h", &hex, /*required=*/true);
-    er.Double("c", &e.cost, /*required=*/true);
-    er.Int("v", &visits, /*required=*/false, 0);
-    IFGEN_RETURN_NOT_OK(er.Finish());
-    IFGEN_ASSIGN_OR_RETURN(e.canonical, HexToU64(hex, "TtBatchDto.entry.h"));
-    e.visits = visits < 0 ? 0 : static_cast<uint64_t>(visits);
-    b.entries.push_back(e);
-  }
-  return b;
-}
-
-JsonValue TtSyncDto::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  JsonValue arr = JsonValue::Array();
-  for (const TtBatchDto& b : batches) arr.Append(b.ToJson());
-  v.Set("batches", std::move(arr));
-  return v;
-}
-
-Result<TtSyncDto> TtSyncDto::FromJson(const JsonValue& v) {
-  TtSyncDto s;
-  ObjectReader r(v, "TtSyncDto");
-  const JsonValue* batches = r.Child("batches", /*required=*/true);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  if (!batches->is_array()) {
-    return Status::Invalid("TtSyncDto.batches must be an array");
-  }
-  s.batches.reserve(batches->items().size());
-  for (const JsonValue& bv : batches->items()) {
-    IFGEN_ASSIGN_OR_RETURN(TtBatchDto b, TtBatchDto::FromJson(bv));
-    s.batches.push_back(std::move(b));
-  }
-  return s;
-}
-
-JsonValue TtSyncAck::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("ingested", JsonValue::Int(ingested));
-  return v;
-}
-
-Result<TtSyncAck> TtSyncAck::FromJson(const JsonValue& v) {
-  TtSyncAck a;
-  ObjectReader r(v, "TtSyncAck");
-  r.Int("ingested", &a.ingested, /*required=*/false, 0);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return a;
-}
-
-JsonValue TextReply::ToJson() const {
-  JsonValue v = JsonValue::Object();
-  v.Set("text", JsonValue::Str(text));
-  return v;
-}
-
-Result<TextReply> TextReply::FromJson(const JsonValue& v) {
-  TextReply t;
-  ObjectReader r(v, "TextReply");
-  r.String("text", &t.text);
-  IFGEN_RETURN_NOT_OK(r.Finish());
-  return t;
-}
+IFGEN_WIRE_FIELDS(TextReply, "TextReply", Field<&TextReply::text>("text"))
+IFGEN_WIRE_CODEC(TextReply)
 
 }  // namespace api
 }  // namespace ifgen

@@ -58,10 +58,7 @@ struct RpcEnvelope {
 
   JsonValue ToJson() const;
   static Result<RpcEnvelope> FromJson(const JsonValue& v);
-  bool operator==(const RpcEnvelope& o) const {
-    return api_version == o.api_version && method == o.method &&
-           request_id == o.request_id && payload == o.payload;
-  }
+  bool operator==(const RpcEnvelope& o) const;
 };
 
 /// \brief One reply frame: `ok` selects which of `payload` (success DTO) or
@@ -84,10 +81,7 @@ struct RpcReply {
 
   JsonValue ToJson() const;
   static Result<RpcReply> FromJson(const JsonValue& v);
-  bool operator==(const RpcReply& o) const {
-    return request_id == o.request_id && ok == o.ok && epoch == o.epoch &&
-           payload == o.payload && (ok || error == o.error);
-  }
+  bool operator==(const RpcReply& o) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -102,9 +96,7 @@ struct IdRequest {
 
   JsonValue ToJson() const;
   static Result<IdRequest> FromJson(const JsonValue& v);
-  bool operator==(const IdRequest& o) const {
-    return id == o.id && wait_ms == o.wait_ms;
-  }
+  bool operator==(const IdRequest& o) const;
 };
 
 /// \brief Payload of job.progress: the long-poll cursor.
@@ -115,10 +107,7 @@ struct ProgressRequest {
 
   JsonValue ToJson() const;
   static Result<ProgressRequest> FromJson(const JsonValue& v);
-  bool operator==(const ProgressRequest& o) const {
-    return job_id == o.job_id && last_seen_version == o.last_seen_version &&
-           wait_ms == o.wait_ms;
-  }
+  bool operator==(const ProgressRequest& o) const;
 };
 
 /// \brief Payload of session.event: target session + the widget event.
@@ -128,9 +117,7 @@ struct SessionEventRequest {
 
   JsonValue ToJson() const;
   static Result<SessionEventRequest> FromJson(const JsonValue& v);
-  bool operator==(const SessionEventRequest& o) const {
-    return session_id == o.session_id && event == o.event;
-  }
+  bool operator==(const SessionEventRequest& o) const;
 };
 
 /// \brief Reply payload of worker.ping: the worker's live job/session load,
@@ -149,15 +136,7 @@ struct WorkerPingResponse {
 
   JsonValue ToJson() const;
   static Result<WorkerPingResponse> FromJson(const JsonValue& v);
-  bool operator==(const WorkerPingResponse& o) const {
-    return jobs_submitted == o.jobs_submitted &&
-           jobs_executed == o.jobs_executed && jobs_pending == o.jobs_pending &&
-           sessions_active == o.sessions_active && draining == o.draining &&
-           cache_probes == o.cache_probes &&
-           cache_probe_hits == o.cache_probe_hits &&
-           tt_peer_ingested == o.tt_peer_ingested &&
-           tt_peer_hits == o.tt_peer_hits;
-  }
+  bool operator==(const WorkerPingResponse& o) const;
 };
 
 // ---------------------------------------------------------------------------
@@ -171,7 +150,7 @@ struct CacheProbeResponse {
 
   JsonValue ToJson() const;
   static Result<CacheProbeResponse> FromJson(const JsonValue& v);
-  bool operator==(const CacheProbeResponse& o) const { return hit == o.hit; }
+  bool operator==(const CacheProbeResponse& o) const;
 };
 
 /// \brief Request payload of cache.export: how many entries per store the
@@ -181,9 +160,7 @@ struct TtExportRequest {
 
   JsonValue ToJson() const;
   static Result<TtExportRequest> FromJson(const JsonValue& v);
-  bool operator==(const TtExportRequest& o) const {
-    return max_entries == o.max_entries;
-  }
+  bool operator==(const TtExportRequest& o) const;
 };
 
 /// \brief One cost-identity store's transposition entries on the wire.
@@ -207,7 +184,7 @@ struct TtSyncDto {
 
   JsonValue ToJson() const;
   static Result<TtSyncDto> FromJson(const JsonValue& v);
-  bool operator==(const TtSyncDto& o) const { return batches == o.batches; }
+  bool operator==(const TtSyncDto& o) const;
 };
 
 /// \brief Reply payload of cache.publish: how many entries were new to the
@@ -217,7 +194,7 @@ struct TtSyncAck {
 
   JsonValue ToJson() const;
   static Result<TtSyncAck> FromJson(const JsonValue& v);
-  bool operator==(const TtSyncAck& o) const { return ingested == o.ingested; }
+  bool operator==(const TtSyncAck& o) const;
 };
 
 /// \brief Reply payload of job.trace (a JSON document in a string) and
@@ -227,7 +204,7 @@ struct TextReply {
 
   JsonValue ToJson() const;
   static Result<TextReply> FromJson(const JsonValue& v);
-  bool operator==(const TextReply& o) const { return text == o.text; }
+  bool operator==(const TextReply& o) const;
 };
 
 }  // namespace api

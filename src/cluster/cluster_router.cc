@@ -53,6 +53,15 @@ std::string AddressOf(const ClusterRouter::WorkerAddress& a) {
   return a.host + ":" + std::to_string(a.port);
 }
 
+/// A stats reply is fresher than the health loop's last ping: the worker's
+/// load in its row comes from it.
+void TakeLoad(const api::StatsResponse& s, api::WorkerStatsDto* row) {
+  row->jobs_submitted = s.jobs_submitted;
+  row->jobs_executed = s.jobs_executed;
+  row->jobs_pending = s.jobs_pending;
+  row->sessions_active = s.sessions_active;
+}
+
 }  // namespace
 
 ClusterRouter::~ClusterRouter() { Stop(); }
@@ -452,74 +461,75 @@ Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
   return last;
 }
 
+template <typename T, typename MakeRequest>
+Result<T> ClusterRouter::Forward(Owner owner, const std::string& id,
+                                 const char* method, int64_t wait_ms,
+                                 const MakeRequest& make_request) {
+  const bool job = owner == Owner::kJob;
+  IFGEN_ASSIGN_OR_RETURN(Route route, job ? FindJob(id) : FindSession(id));
+  int64_t reply_epoch = 0;
+  IFGEN_ASSIGN_OR_RETURN(
+      JsonValue payload,
+      Rpc(workers_[route.worker].get(), method,
+          make_request(route.remote_id).ToJson(), /*extra_wait_ms=*/wait_ms,
+          /*probe=*/false, &reply_epoch));
+  IFGEN_RETURN_NOT_OK(job ? CheckJobEpoch(id, route, reply_epoch)
+                          : CheckSessionEpoch(id, route, reply_epoch));
+  return T::FromJson(payload);
+}
+
+namespace {
+
+/// Rewrites the worker-local job id in a job status/progress reply to the
+/// cluster id the caller used.
+template <typename Resp>
+Result<Resp> WithClusterJobId(const std::string& job_id, Result<Resp> resp) {
+  if (resp.ok()) {
+    resp->job_id = job_id;
+    if (resp->result.value.has_value()) resp->result.value->job_id = job_id;
+  }
+  return resp;
+}
+
+api::IdRequest IdOnly(const std::string& remote_id) {
+  return api::IdRequest{remote_id, /*wait_ms=*/0};
+}
+
+}  // namespace
+
 Result<api::JobStatusResponse> ClusterRouter::GetJob(const std::string& job_id,
                                                      int64_t wait_ms) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  q.wait_ms = wait_ms;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(JsonValue payload,
-                         Rpc(workers_[route.worker].get(), api::kMethodGetJob,
-                             q.ToJson(), /*extra_wait_ms=*/wait_ms,
-                             /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(job_id, route, reply_epoch));
-  IFGEN_ASSIGN_OR_RETURN(api::JobStatusResponse resp,
-                         api::JobStatusResponse::FromJson(payload));
-  resp.job_id = job_id;
-  if (resp.result.value.has_value()) resp.result.value->job_id = job_id;
-  return resp;
+  return WithClusterJobId(
+      job_id, Forward<api::JobStatusResponse>(
+                  Owner::kJob, job_id, api::kMethodGetJob, wait_ms,
+                  [&](const std::string& remote_id) {
+                    return api::IdRequest{remote_id, wait_ms};
+                  }));
 }
 
 Result<api::JobStatusResponse> ClusterRouter::CancelJob(
     const std::string& job_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodCancelJob, q.ToJson(),
-          /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(job_id, route, reply_epoch));
-  IFGEN_ASSIGN_OR_RETURN(api::JobStatusResponse resp,
-                         api::JobStatusResponse::FromJson(payload));
-  resp.job_id = job_id;
-  if (resp.result.value.has_value()) resp.result.value->job_id = job_id;
-  return resp;
+  return WithClusterJobId(
+      job_id, Forward<api::JobStatusResponse>(
+                  Owner::kJob, job_id, api::kMethodCancelJob, 0, IdOnly));
 }
 
 Result<api::JobProgressResponse> ClusterRouter::GetJobProgress(
     const std::string& job_id, int64_t last_seen_version, int64_t wait_ms) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
-  api::ProgressRequest q;
-  q.job_id = route.remote_id;
-  q.last_seen_version = last_seen_version;
-  q.wait_ms = wait_ms;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodJobProgress, q.ToJson(),
-          /*extra_wait_ms=*/wait_ms, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(job_id, route, reply_epoch));
-  IFGEN_ASSIGN_OR_RETURN(api::JobProgressResponse resp,
-                         api::JobProgressResponse::FromJson(payload));
-  resp.job_id = job_id;
-  if (resp.result.value.has_value()) resp.result.value->job_id = job_id;
-  return resp;
+  return WithClusterJobId(
+      job_id, Forward<api::JobProgressResponse>(
+                  Owner::kJob, job_id, api::kMethodJobProgress, wait_ms,
+                  [&](const std::string& remote_id) {
+                    return api::ProgressRequest{remote_id, last_seen_version,
+                                                wait_ms};
+                  }));
 }
 
 Result<std::string> ClusterRouter::JobTrace(const std::string& job_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindJob(job_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  int64_t reply_epoch = 0;
   IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodJobTrace, q.ToJson(),
-          /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckJobEpoch(job_id, route, reply_epoch));
-  IFGEN_ASSIGN_OR_RETURN(api::TextReply t, api::TextReply::FromJson(payload));
+      api::TextReply t,
+      Forward<api::TextReply>(Owner::kJob, job_id, api::kMethodJobTrace, 0,
+                              IdOnly));
   return t.text;
 }
 
@@ -550,46 +560,32 @@ Result<api::SessionOpenResponse> ClusterRouter::OpenSession(
 
 Result<api::StepResponse> ClusterRouter::ApplyEvent(
     const std::string& session_id, const api::WidgetEventRequest& event) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindSession(session_id));
-  api::SessionEventRequest q;
-  q.session_id = route.remote_id;
-  q.event = event;
-  int64_t reply_epoch = 0;
   IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodSessionEvent, q.ToJson(),
-          /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckSessionEpoch(session_id, route, reply_epoch));
-  IFGEN_ASSIGN_OR_RETURN(api::StepResponse resp,
-                         api::StepResponse::FromJson(payload));
+      api::StepResponse resp,
+      Forward<api::StepResponse>(Owner::kSession, session_id,
+                                 api::kMethodSessionEvent, 0,
+                                 [&](const std::string& remote_id) {
+                                   return api::SessionEventRequest{remote_id,
+                                                                   event};
+                                 }));
   resp.session_id = session_id;
   return resp;
 }
 
 Result<api::ChangeBatchDto> ClusterRouter::PollSession(
     const std::string& session_id, int64_t wait_ms) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindSession(session_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  q.wait_ms = wait_ms;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodPollSession, q.ToJson(),
-          /*extra_wait_ms=*/wait_ms, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckSessionEpoch(session_id, route, reply_epoch));
-  return api::ChangeBatchDto::FromJson(payload);
+  return Forward<api::ChangeBatchDto>(
+      Owner::kSession, session_id, api::kMethodPollSession, wait_ms,
+      [&](const std::string& remote_id) {
+        return api::IdRequest{remote_id, wait_ms};
+      });
 }
 
 Status ClusterRouter::CloseSession(const std::string& session_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindSession(session_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  int64_t reply_epoch = 0;
-  auto r = Rpc(workers_[route.worker].get(), api::kMethodCloseSession,
-               q.ToJson(), /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch);
-  if (!r.ok()) return r.status();
-  IFGEN_RETURN_NOT_OK(CheckSessionEpoch(session_id, route, reply_epoch));
+  IFGEN_RETURN_NOT_OK(Forward<api::TextReply>(Owner::kSession, session_id,
+                                              api::kMethodCloseSession, 0,
+                                              IdOnly)
+                          .status());
   std::lock_guard<std::mutex> lock(mu_);
   sessions_.erase(session_id);
   return Status::OK();
@@ -597,16 +593,8 @@ Status ClusterRouter::CloseSession(const std::string& session_id) {
 
 Result<api::TableDto> ClusterRouter::SessionTable(
     const std::string& session_id) {
-  IFGEN_ASSIGN_OR_RETURN(Route route, FindSession(session_id));
-  api::IdRequest q;
-  q.id = route.remote_id;
-  int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
-      Rpc(workers_[route.worker].get(), api::kMethodSessionTable, q.ToJson(),
-          /*extra_wait_ms=*/0, /*probe=*/false, &reply_epoch));
-  IFGEN_RETURN_NOT_OK(CheckSessionEpoch(session_id, route, reply_epoch));
-  return api::TableDto::FromJson(payload);
+  return Forward<api::TableDto>(Owner::kSession, session_id,
+                                api::kMethodSessionTable, 0, IdOnly);
 }
 
 Result<api::CatalogResponse> ClusterRouter::Catalog() {
@@ -649,49 +637,20 @@ Result<api::StatsResponse> ClusterRouter::Stats() {
     api::WorkerStatsDto row = WorkerRow(w.get());
     if (row.healthy) {
       auto r = Rpc(w.get(), api::kMethodStats, JsonValue::Object());
-      if (r.ok()) {
-        auto stats = api::StatsResponse::FromJson(*r);
-        if (stats.ok()) {
-          agg.jobs_submitted += stats->jobs_submitted;
-          agg.jobs_executed += stats->jobs_executed;
-          agg.jobs_pending += stats->jobs_pending;
-          agg.job_cache_hits += stats->job_cache_hits;
-          agg.sessions_opened += stats->sessions_opened;
-          agg.sessions_active += stats->sessions_active;
-          agg.sessions_expired += stats->sessions_expired;
-          agg.steps += stats->steps;
-          agg.noops += stats->noops;
-          agg.result_cache_hits += stats->result_cache_hits;
-          agg.delta_execs += stats->delta_execs;
-          agg.retruncates += stats->retruncates;
-          agg.full_execs += stats->full_execs;
-          agg.fallbacks += stats->fallbacks;
-          agg.learn_store_entries += stats->learn_store_entries;
-          agg.learn_hits += stats->learn_hits;
-          agg.learn_misses += stats->learn_misses;
-          agg.learn_seeded += stats->learn_seeded;
-          agg.learn_recorded += stats->learn_recorded;
-          agg.learn_saves += stats->learn_saves;
-          agg.learn_loads += stats->learn_loads;
-          for (const api::BackendStatsDto& b : stats->backends) {
-            auto key = std::make_pair(b.workload, b.backend);
-            auto it = backend_rows.find(key);
-            if (it == backend_rows.end()) {
-              backend_rows.emplace(key, agg.backends.size());
-              agg.backends.push_back(b);
-            } else {
-              api::BackendStatsDto& row_b = agg.backends[it->second];
-              row_b.prepares += b.prepares;
-              row_b.plan_cache_hits += b.plan_cache_hits;
-              row_b.executions += b.executions;
-            }
+      auto stats = r.ok() ? api::StatsResponse::FromJson(*r)
+                          : Result<api::StatsResponse>(r.status());
+      if (stats.ok()) {
+        api::AddCounters(*stats, &agg);
+        for (const api::BackendStatsDto& b : stats->backends) {
+          auto [it, first] = backend_rows.emplace(
+              std::make_pair(b.workload, b.backend), agg.backends.size());
+          if (first) {
+            agg.backends.push_back(b);
+          } else {
+            api::AddCounters(b, &agg.backends[it->second]);
           }
-          // Fresher than the health loop's last ping.
-          row.jobs_submitted = stats->jobs_submitted;
-          row.jobs_executed = stats->jobs_executed;
-          row.jobs_pending = stats->jobs_pending;
-          row.sessions_active = stats->sessions_active;
         }
+        TakeLoad(*stats, &row);
       }
     }
     agg.cluster_workers.push_back(std::move(row));

@@ -180,6 +180,14 @@ class ClusterRouter : public api::ServiceFrontend {
   WorkerState* PickWorker(uint64_t key, size_t skip);
   Result<Route> FindJob(const std::string& job_id);
   Result<Route> FindSession(const std::string& session_id);
+  enum class Owner { kJob, kSession };
+  /// One routed call on an existing job or session: resolves `id`'s route,
+  /// sends `make_request(remote_id)` to the owning worker (read deadline
+  /// extended by `wait_ms`), applies the owner's epoch guard to the reply,
+  /// and decodes its payload as T.
+  template <typename T, typename MakeRequest>
+  Result<T> Forward(Owner owner, const std::string& id, const char* method,
+                    int64_t wait_ms, const MakeRequest& make_request);
   /// Epoch guards: NotFound + route erasure when `reply_epoch` shows the
   /// answer came from a different worker incarnation than the route's.
   Status CheckJobEpoch(const std::string& job_id, const Route& route,

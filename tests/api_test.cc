@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <thread>
 
 #include "api/api_service.h"
 #include "api/dto.h"
+#include "api/rpc.h"
 #include "core/interface_generator.h"
 #include "core/session.h"
 #include "obs/metrics.h"
@@ -158,6 +160,11 @@ ApiOptions RandomOptions(Rng* rng) {
   o.use_priors = rng->Bernoulli(0.5);
   o.progressive_widening = rng->Bernoulli(0.5);
   o.delta_cost_eval = rng->Bernoulli(0.5);
+  o.cache_peering = rng->Bernoulli(0.5);
+  o.experience = rng->Bernoulli(0.5);
+  o.deadline_ms = rng->UniformInt(0, 600000);
+  o.target_cost = rng->UniformDouble(0, 100);
+  o.plateau_fraction = rng->UniformDouble(0, 1);
   return o;
 }
 
@@ -259,8 +266,9 @@ TEST(Dto, ErrorBodyMapsStatusBothWays) {
 }
 
 // Pins the retry contract (docs/api.md): exactly ResourceExhausted and
-// Unavailable are transient; the bit is derived at encode time, always
-// emitted, and absent-on-decode means not retryable (pre-retryable wire).
+// Unavailable are transient; the bit is derived from `code` at encode time
+// (always emitted) and again at decode time, so a legacy payload without
+// the bit still classifies by its code.
 TEST(Dto, ErrorBodyRetryableIsDerivedAndPinned) {
   for (StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kParseError,
@@ -285,6 +293,26 @@ TEST(Dto, ErrorBodyRetryableIsDerivedAndPinned) {
   auto decoded = ErrorBody::FromJson(*legacy);
   ASSERT_TRUE(decoded.ok());
   EXPECT_FALSE(decoded->retryable);
+}
+
+// Decode derives `retryable` from `code` and ignores the sent bit: a
+// legacy transient error without the field is retryable, and a hard error
+// claiming to be retryable is not.
+TEST(Dto, ErrorBodyRetryableDerivedOnDecode) {
+  auto legacy = ParseJson(R"({"code":"Unavailable","message":"m"})");
+  ASSERT_TRUE(legacy.ok());
+  auto transient = ErrorBody::FromJson(*legacy);
+  ASSERT_TRUE(transient.ok()) << transient.status().ToString();
+  EXPECT_TRUE(transient->retryable);
+
+  auto lying = ParseJson(R"({"code":"NotFound","message":"m","retryable":true})");
+  ASSERT_TRUE(lying.ok());
+  auto hard = ErrorBody::FromJson(*lying);
+  ASSERT_TRUE(hard.ok()) << hard.status().ToString();
+  EXPECT_FALSE(hard->retryable);
+  // Encoding is unchanged: the derived bit goes out as before.
+  EXPECT_EQ(WriteJson(hard->ToJson()),
+            R"({"code":"NotFound","message":"m","retryable":false})");
 }
 
 // Pins the JobResultDto wire contract: one shared shape, two legacy field
@@ -319,6 +347,466 @@ TEST(Dto, JobResultDtoKeepsLegacyWireNames) {
   auto progress_back = api::JobProgressResponse::FromJson(progress_wire);
   ASSERT_TRUE(progress_back.ok());
   EXPECT_EQ(*progress_back, progress);
+}
+
+// ------------------------------------------------------ golden wire pins
+
+// One fully populated instance of every v1 DTO (every field non-default),
+// shared by the wire pins below.
+ErrorBody GoldenError() {
+  return ErrorBody{"Unavailable", "worker 2 draining", true};
+}
+
+ApiOptions GoldenOptions() {
+  ApiOptions o;
+  o.algorithm = "beam";
+  o.backend = "reference";
+  o.parallel_mode = "leaf";
+  o.time_budget_ms = 1500;
+  o.max_iterations = 77;
+  o.seed = 9;
+  o.screen_width = 120;
+  o.screen_height = 48;
+  o.num_threads = 3;
+  o.k_assignments = 5;
+  o.use_priors = false;
+  o.progressive_widening = false;
+  o.delta_cost_eval = false;
+  o.cache_peering = true;
+  o.experience = true;
+  o.deadline_ms = 2500;
+  o.target_cost = 3.5;
+  o.plateau_fraction = 0.25;
+  return o;
+}
+
+api::SearchStatsDto GoldenSearchStats() {
+  api::SearchStatsDto s;
+  s.iterations = 40;
+  s.states_expanded = 31;
+  s.rollouts = 38;
+  s.elapsed_ms = 12;
+  s.trees = 2;
+  s.stop_reason = "iterations";
+  s.trace = {{1, 2, 9.5}, {7, 30, 4.25}};
+  return s;
+}
+
+api::GenerateResponse GoldenGenerateResponse() {
+  api::GenerateResponse g;
+  g.job_id = "j-3";
+  g.workload = "flights";
+  g.algorithm = "mcts";
+  g.backend = "sqlite";
+  g.coverage = 0.75;
+  g.cost = JsonValue::Object();
+  g.cost.Set("total", JsonValue::Double(4.25));
+  g.difftree = JsonValue::Object();
+  g.difftree.Set("type", JsonValue::Str("ANY"));
+  g.widgets = JsonValue::Object();
+  g.widgets.Set("widget", JsonValue::Str("Dropdown"));
+  g.stats = GoldenSearchStats();
+  return g;
+}
+
+api::JobResultDto GoldenJobResult() {
+  api::JobResultDto r;
+  r.value = GoldenGenerateResponse();
+  r.error = ErrorBody{"Cancelled", "cancelled mid-run", false};
+  return r;
+}
+
+TableDto GoldenTable() {
+  TableDto t;
+  t.columns = {"a", "b"};
+  t.rows = {{Value(int64_t{1}), Value(2.5)}, {Value(), Value("x")}};
+  return t;
+}
+
+WidgetEventRequest GoldenEvent(const std::string& kind) {
+  WidgetEventRequest e;
+  e.kind = kind;
+  if (kind == "load_query") {
+    e.sql = "select a from t";
+    return e;
+  }
+  e.choice_id = 4;
+  if (kind == "set_any") e.option_index = 2;
+  if (kind == "set_opt") e.present = true;
+  if (kind == "set_multi") e.count = 3;
+  return e;
+}
+
+StepReportDto GoldenStepReport() {
+  StepReportDto d;
+  d.transition = "tighten";
+  d.incremental = true;
+  d.from_cache = true;
+  d.widgets_changed = 1;
+  d.interaction_cost = 0.5;
+  d.navigation_cost = 1.25;
+  d.rows = 10;
+  d.rows_added = 2;
+  d.rows_removed = 3;
+  d.rows_updated = 1;
+  return d;
+}
+
+RowChangeDto GoldenRowChange(const std::string& kind) {
+  RowChangeDto c;
+  c.kind = kind;
+  c.row = {Value(int64_t{7}), Value("y")};
+  if (kind == "update") c.old_row = {Value(int64_t{6}), Value()};
+  return c;
+}
+
+ChangeBatchDto GoldenBatch() {
+  ChangeBatchDto b;
+  b.from_version = 3;
+  b.to_version = 4;
+  b.last_step = GoldenStepReport();
+  b.changes = {GoldenRowChange("add"), GoldenRowChange("remove"),
+               GoldenRowChange("update")};
+  return b;
+}
+
+api::TableInfo GoldenTableInfo() { return api::TableInfo{"flights", 300, 9}; }
+
+api::BackendStatsDto GoldenBackendStats() {
+  api::BackendStatsDto b;
+  b.workload = "sdss";
+  b.backend = "columnar";
+  b.prepares = 5;
+  b.plan_cache_hits = 4;
+  b.executions = 3;
+  return b;
+}
+
+api::WorkerStatsDto GoldenWorkerStats() {
+  api::WorkerStatsDto w;
+  w.worker = 1;
+  w.address = "127.0.0.1:9001";
+  w.healthy = false;
+  w.draining = true;
+  w.jobs_submitted = 2;
+  w.jobs_executed = 3;
+  w.jobs_pending = 4;
+  w.sessions_active = 5;
+  w.rpcs = 6;
+  w.rpc_failures = 7;
+  w.reconnects = 8;
+  w.cache_probes = 9;
+  w.cache_probe_hits = 10;
+  w.tt_peer_ingested = 11;
+  w.tt_peer_hits = 12;
+  w.result_peer_hits = 13;
+  w.tt_published = 14;
+  return w;
+}
+
+/// Pins the exact wire text of `x` and that it decodes back to `x`.
+template <typename T>
+void ExpectWire(const T& x, const std::string& wire) {
+  EXPECT_EQ(WriteJson(x.ToJson()), wire);
+  ExpectRoundTrip(x);
+}
+
+// The byte-identity gate of the v1 codec: every DTO in api/dto.h and
+// api/rpc.h, fully populated, pinned to its exact wire text and
+// round-tripped. Adding a wire field means updating its pin here.
+TEST(Dto, GoldenWirePinsEveryDto) {
+  ExpectWire(GoldenError(),
+             R"({"code":"Unavailable","message":"worker 2 draining","retryable":true})");
+  ExpectWire(GoldenOptions(),
+             R"({"algorithm":"beam","backend":"reference","parallel_mode":"leaf",)"
+             R"("time_budget_ms":1500,"max_iterations":77,"seed":9,"screen_width":120,)"
+             R"("screen_height":48,"num_threads":3,"k_assignments":5,)"
+             R"("use_priors":false,"progressive_widening":false,)"
+             R"("delta_cost_eval":false,"cache_peering":true,"experience":true,)"
+             R"("deadline_ms":2500,"target_cost":3.5,"plateau_fraction":0.25})");
+  GenerateRequest req;
+  req.workload = "sdss";
+  req.sqls = {"select a from t", "select b from t"};
+  req.options = GoldenOptions();
+  ExpectWire(req,
+             R"({"workload":"sdss","sqls":["select a from t","select b from t"],)"
+             R"("options":{"algorithm":"beam","backend":"reference",)"
+             R"("parallel_mode":"leaf","time_budget_ms":1500,"max_iterations":77,)"
+             R"("seed":9,"screen_width":120,"screen_height":48,"num_threads":3,)"
+             R"("k_assignments":5,"use_priors":false,"progressive_widening":false,)"
+             R"("delta_cost_eval":false,"cache_peering":true,"experience":true,)"
+             R"("deadline_ms":2500,"target_cost":3.5,"plateau_fraction":0.25}})");
+  ExpectWire(api::GenerateAccepted{"j-5", "queued"},
+             R"({"job_id":"j-5","state":"queued"})");
+  ExpectWire(api::TracePoint{3, 4, 1.5},
+             R"({"ms":3,"iteration":4,"cost":1.5})");
+  ExpectWire(GoldenSearchStats(),
+             R"({"iterations":40,"states_expanded":31,"rollouts":38,"elapsed_ms":12,)"
+             R"("trees":2,"stop_reason":"iterations","trace":[{"ms":1,"iteration":2,)"
+             R"("cost":9.5},{"ms":7,"iteration":30,"cost":4.25}]})");
+  ExpectWire(GoldenGenerateResponse(),
+             R"({"job_id":"j-3","workload":"flights","algorithm":"mcts",)"
+             R"("backend":"sqlite","coverage":0.75,"cost":{"total":4.25},)"
+             R"("stats":{"iterations":40,"states_expanded":31,"rollouts":38,)"
+             R"("elapsed_ms":12,"trees":2,"stop_reason":"iterations","trace":[{"ms":1,)"
+             R"("iteration":2,"cost":9.5},{"ms":7,"iteration":30,"cost":4.25}]},)"
+             R"("difftree":{"type":"ANY"},"widgets":{"widget":"Dropdown"}})");
+
+  api::JobStatusResponse status;
+  status.job_id = "j-3";
+  status.state = "cancelled";
+  status.cache_hit = true;
+  status.queued_ms = 6;
+  status.run_ms = 8;
+  status.result = GoldenJobResult();
+  ExpectWire(status,
+             R"({"job_id":"j-3","state":"cancelled","cache_hit":true,"queued_ms":6,)"
+             R"("run_ms":8,"result":{"job_id":"j-3","workload":"flights",)"
+             R"("algorithm":"mcts","backend":"sqlite","coverage":0.75,)"
+             R"("cost":{"total":4.25},"stats":{"iterations":40,"states_expanded":31,)"
+             R"("rollouts":38,"elapsed_ms":12,"trees":2,"stop_reason":"iterations",)"
+             R"("trace":[{"ms":1,"iteration":2,"cost":9.5},{"ms":7,"iteration":30,)"
+             R"("cost":4.25}]},"difftree":{"type":"ANY"},)"
+             R"("widgets":{"widget":"Dropdown"}},"error":{"code":"Cancelled",)"
+             R"("message":"cancelled mid-run","retryable":false}})");
+  api::JobProgressResponse progress;
+  progress.job_id = "j-3";
+  progress.state = "cancelled";
+  progress.version = 5;
+  progress.final_frame = true;
+  progress.result = GoldenJobResult();
+  ExpectWire(progress,
+             R"({"job_id":"j-3","state":"cancelled","version":5,"final":true,)"
+             R"("partial":{"job_id":"j-3","workload":"flights","algorithm":"mcts",)"
+             R"("backend":"sqlite","coverage":0.75,"cost":{"total":4.25},)"
+             R"("stats":{"iterations":40,"states_expanded":31,"rollouts":38,)"
+             R"("elapsed_ms":12,"trees":2,"stop_reason":"iterations","trace":[{"ms":1,)"
+             R"("iteration":2,"cost":9.5},{"ms":7,"iteration":30,"cost":4.25}]},)"
+             R"("difftree":{"type":"ANY"},"widgets":{"widget":"Dropdown"}},)"
+             R"("error":{"code":"Cancelled","message":"cancelled mid-run",)"
+             R"("retryable":false}})");
+
+  ExpectWire(SessionOpenRequest{"j-3", "flights", "columnar"},
+             R"({"job_id":"j-3","workload":"flights","backend":"columnar"})");
+  ExpectWire(GoldenTable(),
+             R"({"columns":["a","b"],"rows":[[1,2.5],[null,"x"]]})");
+  api::SessionOpenResponse open;
+  open.session_id = "s-1";
+  open.sql = "select a from t";
+  open.version = 2;
+  open.table = GoldenTable();
+  open.widgets = JsonValue::Object();
+  open.widgets.Set("widget", JsonValue::Str("Slider"));
+  ExpectWire(open,
+             R"({"session_id":"s-1","sql":"select a from t","version":2,)"
+             R"("table":{"columns":["a","b"],"rows":[[1,2.5],[null,"x"]]},)"
+             R"("widgets":{"widget":"Slider"}})");
+
+  ExpectWire(GoldenEvent("set_any"),
+             R"({"kind":"set_any","choice_id":4,"option_index":2})");
+  ExpectWire(GoldenEvent("set_opt"),
+             R"({"kind":"set_opt","choice_id":4,"present":true})");
+  ExpectWire(GoldenEvent("set_multi"),
+             R"({"kind":"set_multi","choice_id":4,"count":3})");
+  ExpectWire(GoldenEvent("load_query"),
+             R"({"kind":"load_query","sql":"select a from t"})");
+  ExpectWire(GoldenStepReport(),
+             R"({"transition":"tighten","incremental":true,"from_cache":true,)"
+             R"("widgets_changed":1,"interaction_cost":0.5,"navigation_cost":1.25,)"
+             R"("rows":10,"rows_added":2,"rows_removed":3,"rows_updated":1})");
+  ExpectWire(GoldenRowChange("add"), R"({"kind":"add","row":[7,"y"]})");
+  ExpectWire(GoldenRowChange("remove"), R"({"kind":"remove","row":[7,"y"]})");
+  ExpectWire(GoldenRowChange("update"),
+             R"({"kind":"update","row":[7,"y"],"old_row":[6,null]})");
+  ExpectWire(GoldenBatch(),
+             R"({"from_version":3,"to_version":4,"last_step":{"transition":"tighten",)"
+             R"("incremental":true,"from_cache":true,"widgets_changed":1,)"
+             R"("interaction_cost":0.5,"navigation_cost":1.25,"rows":10,)"
+             R"("rows_added":2,"rows_removed":3,"rows_updated":1},)"
+             R"("changes":[{"kind":"add","row":[7,"y"]},{"kind":"remove","row":[7,)"
+             R"("y"]},{"kind":"update","row":[7,"y"],"old_row":[6,null]}]})");
+  api::StepResponse step;
+  step.session_id = "s-1";
+  step.sql = "select a from t";
+  step.version = 4;
+  step.report = GoldenStepReport();
+  step.batch = GoldenBatch();
+  ExpectWire(step,
+             R"({"session_id":"s-1","sql":"select a from t","version":4,)"
+             R"("report":{"transition":"tighten","incremental":true,"from_cache":true,)"
+             R"("widgets_changed":1,"interaction_cost":0.5,"navigation_cost":1.25,)"
+             R"("rows":10,"rows_added":2,"rows_removed":3,"rows_updated":1},)"
+             R"("batch":{"from_version":3,"to_version":4,)"
+             R"("last_step":{"transition":"tighten","incremental":true,)"
+             R"("from_cache":true,"widgets_changed":1,"interaction_cost":0.5,)"
+             R"("navigation_cost":1.25,"rows":10,"rows_added":2,"rows_removed":3,)"
+             R"("rows_updated":1},"changes":[{"kind":"add","row":[7,"y"]},)"
+             R"({"kind":"remove","row":[7,"y"]},{"kind":"update","row":[7,"y"],)"
+             R"("old_row":[6,null]}]}})");
+
+  ExpectWire(GoldenTableInfo(), R"({"name":"flights","rows":300,"columns":9})");
+  api::WorkloadInfo workload{"flights", 12, {GoldenTableInfo()}};
+  ExpectWire(workload,
+             R"({"name":"flights","queries":12,"tables":[{"name":"flights","rows":300,)"
+             R"("columns":9}]})");
+  api::CatalogResponse catalog{{workload}, {"reference", "columnar"}};
+  ExpectWire(catalog,
+             R"({"workloads":[{"name":"flights","queries":12,)"
+             R"("tables":[{"name":"flights","rows":300,"columns":9}]}],)"
+             R"("backends":["reference","columnar"]})");
+  ExpectWire(GoldenBackendStats(),
+             R"({"workload":"sdss","backend":"columnar","prepares":5,)"
+             R"("plan_cache_hits":4,"executions":3})");
+  ExpectWire(GoldenWorkerStats(),
+             R"({"worker":1,"address":"127.0.0.1:9001","healthy":false,)"
+             R"("draining":true,"jobs_submitted":2,"jobs_executed":3,"jobs_pending":4,)"
+             R"("sessions_active":5,"rpcs":6,"rpc_failures":7,"reconnects":8,)"
+             R"("cache_probes":9,"cache_probe_hits":10,"tt_peer_ingested":11,)"
+             R"("tt_peer_hits":12,"result_peer_hits":13,"tt_published":14})");
+  ExpectWire(api::ClusterResponse{"cluster", {GoldenWorkerStats()}},
+             R"({"mode":"cluster","workers":[{"worker":1,"address":"127.0.0.1:9001",)"
+             R"("healthy":false,"draining":true,"jobs_submitted":2,"jobs_executed":3,)"
+             R"("jobs_pending":4,"sessions_active":5,"rpcs":6,"rpc_failures":7,)"
+             R"("reconnects":8,"cache_probes":9,"cache_probe_hits":10,)"
+             R"("tt_peer_ingested":11,"tt_peer_hits":12,"result_peer_hits":13,)"
+             R"("tt_published":14}]})");
+
+  api::StatsResponse stats;
+  int64_t next = 1;
+  for (int64_t* counter :
+       {&stats.jobs_submitted, &stats.jobs_executed, &stats.jobs_pending,
+        &stats.job_cache_hits, &stats.sessions_opened, &stats.sessions_active,
+        &stats.sessions_expired, &stats.steps, &stats.noops,
+        &stats.result_cache_hits, &stats.delta_execs, &stats.retruncates,
+        &stats.full_execs, &stats.fallbacks, &stats.learn_store_entries,
+        &stats.learn_hits, &stats.learn_misses, &stats.learn_seeded,
+        &stats.learn_recorded, &stats.learn_saves, &stats.learn_loads}) {
+    *counter = next++;
+  }
+  stats.backends = {GoldenBackendStats()};
+  stats.cluster_workers = {GoldenWorkerStats()};
+  ExpectWire(stats,
+             R"({"jobs":{"submitted":1,"executed":2,"pending":3,"cache_hits":4},)"
+             R"("sessions":{"opened":5,"active":6,"expired":7},"runtime":{"steps":8,)"
+             R"("noops":9,"result_cache_hits":10,"delta_execs":11,"retruncates":12,)"
+             R"("full_execs":13,"fallbacks":14},"backends":[{"workload":"sdss",)"
+             R"("backend":"columnar","prepares":5,"plan_cache_hits":4,)"
+             R"("executions":3}],"learn":{"store_entries":15,"hits":16,"misses":17,)"
+             R"("seeded":18,"recorded":19,"saves":20,"loads":21},)"
+             R"("cluster":{"workers":[{"worker":1,"address":"127.0.0.1:9001",)"
+             R"("healthy":false,"draining":true,"jobs_submitted":2,"jobs_executed":3,)"
+             R"("jobs_pending":4,"sessions_active":5,"rpcs":6,"rpc_failures":7,)"
+             R"("reconnects":8,"cache_probes":9,"cache_probe_hits":10,)"
+             R"("tt_peer_ingested":11,"tt_peer_hits":12,"result_peer_hits":13,)"
+             R"("tt_published":14}]}})");
+
+  // rpc.h
+  api::RpcEnvelope env;
+  env.api_version = "v0";
+  env.method = api::kMethodGetJob;
+  env.request_id = 11;
+  env.payload.Set("id", JsonValue::Str("job-2"));
+  ExpectWire(env,
+             R"({"api_version":"v0","method":"job.get","request_id":11,)"
+             R"("payload":{"id":"job-2"}})");
+  api::RpcReply ok_reply = api::RpcReply::Success(12, env.payload);
+  ok_reply.epoch = 99;
+  ExpectWire(ok_reply,
+             R"({"request_id":12,"ok":true,"epoch":99,"payload":{"id":"job-2"}})");
+  api::RpcReply failed_reply =
+      api::RpcReply::Failure(13, Status::ResourceExhausted("busy"));
+  ExpectWire(failed_reply,
+             R"({"request_id":13,"ok":false,"error":{"code":"ResourceExhausted",)"
+             R"("message":"busy","retryable":true}})");
+  ExpectWire(api::IdRequest{"job-2", 250}, R"({"id":"job-2","wait_ms":250})");
+  ExpectWire(api::ProgressRequest{"job-2", 3, 250},
+             R"({"job_id":"job-2","last_seen_version":3,"wait_ms":250})");
+  ExpectWire(api::SessionEventRequest{"sess-1", GoldenEvent("set_multi")},
+             R"({"session_id":"sess-1","event":{"kind":"set_multi","choice_id":4,)"
+             R"("count":3}})");
+  api::WorkerPingResponse ping;
+  ping.jobs_submitted = 1;
+  ping.jobs_executed = 2;
+  ping.jobs_pending = 3;
+  ping.sessions_active = 4;
+  ping.draining = true;
+  ping.cache_probes = 5;
+  ping.cache_probe_hits = 6;
+  ping.tt_peer_ingested = 7;
+  ping.tt_peer_hits = 8;
+  ExpectWire(ping,
+             R"({"jobs_submitted":1,"jobs_executed":2,"jobs_pending":3,)"
+             R"("sessions_active":4,"draining":true,"cache_probes":5,)"
+             R"("cache_probe_hits":6,"tt_peer_ingested":7,"tt_peer_hits":8})");
+  ExpectWire(api::CacheProbeResponse{true}, R"({"hit":true})");
+  ExpectWire(api::TtExportRequest{300}, R"({"max_entries":300})");
+  api::TtBatchDto batch;
+  batch.store_key = 0xfedcba9876543210ull;
+  batch.entries = {{0x0123456789abcdefull, 2.5, 3}, {42, 0.125, 0}};
+  ExpectWire(batch,
+             R"({"store_key":"fedcba9876543210","entries":[{"h":"0123456789abcdef",)"
+             R"("c":2.5,"v":3},{"h":"000000000000002a","c":0.125,"v":0}]})");
+  ExpectWire(api::TtSyncDto{{batch}},
+             R"({"batches":[{"store_key":"fedcba9876543210",)"
+             R"("entries":[{"h":"0123456789abcdef","c":2.5,"v":3},)"
+             R"({"h":"000000000000002a","c":0.125,"v":0}]}]})");
+  ExpectWire(api::TtSyncAck{17}, R"({"ingested":17})");
+  ExpectWire(api::TextReply{"{\"traceEvents\":[]}"},
+             R"({"text":"{\"traceEvents\":[]}"})");
+}
+
+/// Checks, leaf by leaf over the wire trees, that `sum` holds a + b in
+/// every integer field outside arrays and a's value everywhere else.
+void ExpectCounterSum(const JsonValue& a, const JsonValue& b,
+                      const JsonValue& sum, const std::string& path) {
+  ASSERT_EQ(a.kind(), sum.kind()) << path;
+  if (a.is_int()) {
+    EXPECT_EQ(sum.AsInt(), a.AsInt() + b.AsInt()) << path;
+  } else if (a.is_object()) {
+    ASSERT_EQ(a.size(), sum.size()) << path;
+    for (size_t i = 0; i < a.size(); ++i) {
+      const std::string& key = a.members()[i].first;
+      ExpectCounterSum(a.members()[i].second, *b.Find(key),
+                       sum.members()[i].second, path + "." + key);
+    }
+  } else {
+    EXPECT_EQ(sum, a) << path;
+  }
+}
+
+// The cluster router merges worker stats with AddCounters: every integer
+// counter in the table is summed (a counter added to the DTO is summed
+// without a router edit), keys and arrays are left alone.
+TEST(Dto, AddCountersSumsEveryIntegerField) {
+  api::StatsResponse a;
+  api::StatsResponse b;
+  JsonValue a_wire = a.ToJson();
+  int64_t next = 1;
+  // Give every integer leaf of both operands a distinct value via the wire.
+  std::function<void(JsonValue*)> fill = [&](JsonValue* v) {
+    if (v->is_int()) *v = JsonValue::Int(next++);
+    if (v->is_object()) {
+      for (auto& member : v->members()) fill(&member.second);
+    }
+  };
+  fill(&a_wire);
+  JsonValue b_wire = b.ToJson();
+  fill(&b_wire);
+  a = *api::StatsResponse::FromJson(a_wire);
+  b = *api::StatsResponse::FromJson(b_wire);
+  a.backends = {GoldenBackendStats()};
+  b.cluster_workers = {GoldenWorkerStats()};
+  api::StatsResponse sum = a;
+  api::AddCounters(b, &sum);
+  ExpectCounterSum(a.ToJson(), b.ToJson(), sum.ToJson(), "stats");
+  EXPECT_EQ(sum.learn_loads, a.learn_loads + b.learn_loads);
+
+  api::BackendStatsDto row = GoldenBackendStats();
+  api::BackendStatsDto more = GoldenBackendStats();
+  more.prepares = 100;
+  api::AddCounters(more, &row);
+  ExpectCounterSum(GoldenBackendStats().ToJson(), more.ToJson(), row.ToJson(),
+                   "backend");
 }
 
 // ----------------------------------------------------- codec error paths
@@ -397,6 +885,58 @@ TEST(Dto, OnlyRootParallelismAccepted) {
 
   o.parallel_mode = "root";
   EXPECT_TRUE(o.ToGeneratorOptions().ok());
+}
+
+// The table-driven decoder keeps the strict reader's checks at every
+// level: required fields, integer lower bounds, and unknown fields inside
+// nested groups and beside inlined halves.
+TEST(Dto, TableDecodeKeepsStrictChecks) {
+  struct Case {
+    const char* text;
+    StatusCode code;
+    const char* mentions;
+    Status (*decode)(const JsonValue&);
+  };
+  auto stats = [](const JsonValue& v) {
+    return api::StatsResponse::FromJson(v).status();
+  };
+  auto job = [](const JsonValue& v) {
+    return api::JobStatusResponse::FromJson(v).status();
+  };
+  auto worker = [](const JsonValue& v) {
+    return api::WorkerStatsDto::FromJson(v).status();
+  };
+  auto id = [](const JsonValue& v) { return api::IdRequest::FromJson(v).status(); };
+  auto batch = [](const JsonValue& v) {
+    return api::TtBatchDto::FromJson(v).status();
+  };
+  const Case cases[] = {
+      {R"({"jobs":{"submitted":1,"bogus":2}})", StatusCode::kInvalidArgument,
+       "bogus", stats},
+      {R"({"learn":{"hits":"3"}})", StatusCode::kInvalidArgument, "hits", stats},
+      {R"({"job_id":"j-1","state":"done","partial":{}})",
+       StatusCode::kInvalidArgument, "partial", job},
+      {R"({"state":"done"})", StatusCode::kInvalidArgument, "job_id", job},
+      {R"({"job_id":"j-1","state":"done","result":{"stats":{"trees":"x"}}})",
+       StatusCode::kInvalidArgument, "trees", job},
+      {R"({"worker":0})", StatusCode::kInvalidArgument, "address", worker},
+      {R"({"worker":-1,"address":"a"})", StatusCode::kOutOfRange, "worker",
+       worker},
+      {R"({"id":"j-1","wait_ms":-5})", StatusCode::kOutOfRange, "wait_ms", id},
+      {R"({"store_key":"xyz","entries":[]})", StatusCode::kInvalidArgument,
+       "store_key", batch},
+      {R"({"store_key":"00ff","entries":[{"c":1.0}]})",
+       StatusCode::kInvalidArgument, "'h'", batch},
+  };
+  for (const Case& c : cases) {
+    auto v = ParseJson(c.text);
+    ASSERT_TRUE(v.ok()) << c.text;
+    Status s = c.decode(*v);
+    ASSERT_FALSE(s.ok()) << c.text;
+    EXPECT_EQ(s.code(), c.code) << c.text << ": " << s.ToString();
+    EXPECT_NE(s.message().find(c.mentions), std::string::npos)
+        << c.text << ": " << s.ToString();
+  }
 }
 
 TEST(Dto, EventKindFieldMismatchRejected) {
