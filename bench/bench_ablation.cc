@@ -4,13 +4,11 @@
 //  - the greedy-seed assignment (our refinement over pure random k),
 //  - saturation/forward-biased rollouts vs the paper's uniform walks,
 //  - expand-all-children vs single expansion,
-// plus the PR-2 search/evaluation refinements (see docs/search.md and
-// docs/cost-model.md):
+// plus the search refinement of docs/search.md:
 //  - log-derived action priors + progressive widening vs uniform expansion
 //    (iteration-capped, so "equal-or-better cost in fewer iterations" is
 //    read straight off the rows),
-//  - delta-cost evaluation vs forced full re-evaluation (bit-identical
-//    costs; the rows carry the recompute/hit counters).
+// and the metrics-registry overhead guard.
 // JSON rows (one line each, `"bench":"ablation"`) are documented in
 // bench/README.md.
 #include <cstdio>
@@ -106,45 +104,6 @@ void SweepPriors() {
                     r.stats.states_expanded, static_cast<long long>(ms));
       }
     }
-  }
-}
-
-void SweepDeltaCost() {
-  bench::PrintHeader(
-      "Delta-cost evaluation vs forced full re-evaluation (costs must be "
-      "bit-identical; only the recompute counters and wall-clock differ)");
-  for (const Workload& w : AblationWorkloads()) {
-    double costs[2] = {0.0, 0.0};
-    for (bool delta : {true, false}) {
-      SearchOptions sopts;
-      sopts.time_budget_ms = 0;
-      sopts.max_iterations = bench::SmokeMode() ? 10 : 150;
-      sopts.seed = 3;
-      EvalOptions eopts;
-      eopts.screen = {100, 40};
-      eopts.delta_eval = delta;
-      StateEvaluator eval(eopts, w.queries);
-      Stopwatch watch;
-      SearchResult r = RunMcts(w, sopts, &eval);
-      int64_t ms = watch.ElapsedMillis();
-      costs[delta ? 0 : 1] = r.best_cost;
-      std::printf("  %-9s delta=%-5s cost=%8.2f  subtree recompute/hit="
-                  "%6zu/%-6zu  plan recompute/hit=%5zu/%-5zu  %5lld ms\n",
-                  w.name, delta ? "on" : "off", r.best_cost,
-                  eval.subtree_recomputes(), eval.subtree_cache_hits(),
-                  eval.plan_recomputes(), eval.plan_cache_hits(),
-                  static_cast<long long>(ms));
-      std::printf("{\"bench\":\"ablation\",\"group\":\"delta\","
-                  "\"workload\":\"%s\",\"delta\":%s,\"best_cost\":%.4f,"
-                  "\"subtree_recomputes\":%zu,\"subtree_hits\":%zu,"
-                  "\"plan_recomputes\":%zu,\"plan_hits\":%zu,\"ms\":%lld}\n",
-                  w.name, delta ? "true" : "false", r.best_cost,
-                  eval.subtree_recomputes(), eval.subtree_cache_hits(),
-                  eval.plan_recomputes(), eval.plan_cache_hits(),
-                  static_cast<long long>(ms));
-    }
-    std::printf("  %-9s bit-identical: %s\n", w.name,
-                costs[0] == costs[1] ? "yes" : "NO (BUG)");
   }
 }
 
@@ -267,7 +226,6 @@ int main() {
   }
 
   SweepPriors();
-  SweepDeltaCost();
   SweepObsOverhead();
 
   return 0;

@@ -1,15 +1,16 @@
 // Incremental-vs-full interaction latency per transition class.
 //
-// Two InteractiveRuntime instances over the same columnar backend replay an
-// identical scripted interaction walk — log replays (shape changes + memo
-// revisits), ANY-option sweeps up and down (param rebinds; tighten/loosen on
-// directional predicates), and OPT toggles — one with delta maintenance
-// enabled, one forced to full re-execution. Per-step latency is bucketed by
-// the step's transition class (engine/delta_exec.h), so each JSON row
-// compares incremental against full maintenance for one class on one
-// workload. Expect `tighten`/`loosen`/`rebind` rows to show speedup > 1
-// (selection deltas and memo hits) and `shape_change` to be ~1 (both arms
-// execute fully).
+// An InteractiveRuntime over the columnar backend replays a scripted
+// interaction walk — log replays (shape changes + memo revisits), ANY-option
+// sweeps up and down (param rebinds; tighten/loosen on directional
+// predicates), and OPT toggles. After each step, the full arm executes the
+// step's current query from scratch on the same shared backend
+// (parameterize, PrepareShape, Execute — what the runtime does when no
+// incremental path applies). Per-step latency is bucketed by the step's transition class
+// (engine/delta_exec.h), so each JSON row compares incremental maintenance
+// against full execution for one class on one workload. Expect
+// `tighten`/`loosen`/`rebind` rows to show speedup > 1 (selection deltas
+// and memo hits) and `shape_change` to be ~1 (both arms execute fully).
 //
 // JSON rows (one line each, `"bench":"interactive"`) are documented in
 // bench/README.md. IFGEN_BENCH_SMOKE=1 shrinks everything for CI.
@@ -83,6 +84,16 @@ Result<InteractiveRuntime::StepReport> ApplyStep(InteractiveRuntime* rt,
   return Status::Invalid("bad step");
 }
 
+/// The full arm: executes `query` from scratch on the shared backend,
+/// exactly the path the runtime takes when no incremental path applies. It
+/// starts from the runtime's query, not its SQL text: some widget states
+/// (an empty projection list) unparse to SQL the parser rejects.
+Status ExecuteFully(ExecutionBackend* backend, const Ast& query) {
+  IFGEN_ASSIGN_OR_RETURN(ParameterizedQuery pq, ParameterizeQuery(query));
+  IFGEN_ASSIGN_OR_RETURN(PreparedQuery * plan, backend->PrepareShape(pq));
+  return plan->Execute(pq.params).status();
+}
+
 struct ClassBucket {
   size_t steps = 0;
   size_t incremental_steps = 0;
@@ -96,7 +107,8 @@ int main() {
   const bool smoke = bench::SmokeMode();
   bench::PrintHeader(
       "Incremental vs full interaction latency per transition class\n"
-      "(same scripted widget walk; delta maintenance on vs forced full re-exec)");
+      "(scripted widget walk; incremental maintenance vs full execution of "
+      "each step's query)");
 
   struct Sized {
     const char* name;
@@ -134,16 +146,10 @@ int main() {
     if (!backend.ok()) return 1;
     std::shared_ptr<ExecutionBackend> shared(std::move(*backend));
 
-    InteractiveRuntime::Options delta_on;
-    InteractiveRuntime::Options delta_off;
-    delta_off.enable_delta = false;
-    auto rt_inc = InteractiveRuntime::Create(*iface, opt.constants, shared, delta_on);
-    auto rt_full =
-        InteractiveRuntime::Create(*iface, opt.constants, shared, delta_off);
-    if (!rt_inc.ok() || !rt_full.ok()) {
-      const Status& bad = rt_inc.ok() ? rt_full.status() : rt_inc.status();
+    auto rt_inc = InteractiveRuntime::Create(*iface, opt.constants, shared);
+    if (!rt_inc.ok()) {
       std::printf("runtime create failed on %s: %s\n", sized.name,
-                  bad.ToString().c_str());
+                  rt_inc.status().ToString().c_str());
       return 1;
     }
 
@@ -156,12 +162,19 @@ int main() {
       Stopwatch inc_watch;
       auto r_inc = ApplyStep(rt_inc->get(), *queries, s);
       int64_t inc_us = inc_watch.ElapsedMicros();
-      Stopwatch full_watch;
-      auto r_full = ApplyStep(rt_full->get(), *queries, s);
-      int64_t full_us = full_watch.ElapsedMicros();
-      if (!r_inc.ok() || !r_full.ok()) {
-        ++skipped;  // inactive widget in the current derivation — same on both
+      if (!r_inc.ok()) {
+        ++skipped;  // inactive widget in the current derivation
         continue;
+      }
+      auto query = (*rt_inc)->CurrentQuery();
+      if (!query.ok()) return 1;
+      Stopwatch full_watch;
+      Status full = ExecuteFully(shared.get(), *query);
+      int64_t full_us = full_watch.ElapsedMicros();
+      if (!full.ok()) {
+        std::printf("full execution failed on %s: %s\n", sized.name,
+                    full.ToString().c_str());
+        return 1;
       }
       ClassBucket& b = buckets[std::string(TransitionClassName(r_inc->transition))];
       ++b.steps;

@@ -54,16 +54,6 @@ SCHEMAS = {
         "disabled_ms": NUM,
         "overhead_pct": NUM,
     },
-    ("ablation", "delta"): {
-        "workload": str,
-        "delta": bool,
-        "best_cost": NUM,
-        "subtree_recomputes": int,
-        "subtree_hits": int,
-        "plan_recomputes": int,
-        "plan_hits": int,
-        "ms": NUM,
-    },
     "interactive": {
         "workload": str,
         "backend": str,

@@ -377,8 +377,7 @@ Result<SessionOpenResponse> ApiService::OpenSession(const SessionOpenRequest& re
   }
   IFGEN_ASSIGN_OR_RETURN(
       std::shared_ptr<InteractiveRuntime> runtime,
-      service_.OpenSession(*info.result, meta.options.constants, &bundle->db, kind,
-                           opts_.runtime));
+      service_.OpenSession(*info.result, meta.options.constants, &bundle->db, kind));
 
   SessionOpenResponse resp;
   Table snapshot;
@@ -397,8 +396,10 @@ Result<SessionOpenResponse> ApiService::OpenSession(const SessionOpenRequest& re
 
   std::lock_guard<std::mutex> lock(mu_);
   SweepSessionsLocked();
-  // Capacity eviction: drop the least-recently-touched session.
-  while (sessions_.size() >= std::max<size_t>(1, opts_.max_sessions)) {
+  // Capacity eviction: open sessions beyond kMaxSessions evict the
+  // least-recently-touched one.
+  constexpr size_t kMaxSessions = 256;
+  while (sessions_.size() >= kMaxSessions) {
     auto lru = std::min_element(sessions_.begin(), sessions_.end(),
                                 [](const auto& a, const auto& b) {
                                   return a.second.last_touch < b.second.last_touch;

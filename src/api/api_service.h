@@ -44,12 +44,9 @@ class ApiService : public ServiceFrontend {
     GenerationService::Options service = DefaultServiceOptions();
     /// Rows per workload table; 0 = each workload's default size.
     size_t workload_rows = 0;
-    /// Open sessions beyond this evict the least-recently-used one.
-    size_t max_sessions = 256;
     /// Sessions idle longer than this are evicted (lazily, on any session
     /// access); <= 0 disables TTL eviction.
     int64_t session_ttl_ms = 10 * 60 * 1000;
-    InteractiveRuntime::Options runtime;
     /// Trace-fitted prior weights (learn/prior_fit.h) applied to every
     /// admitted job's PriorOptions. Applied identically in SubmitGenerate
     /// and ProbeCache, so local and probed cache keys cannot diverge.

@@ -128,6 +128,8 @@ struct ApiOptions {
   int64_t k_assignments = 8;
   bool use_priors = true;
   bool progressive_widening = true;
+  /// v1 compatibility: accepted and ignored. Delta-cost evaluation is
+  /// always on and never changed a result; FromGeneratorOptions emits true.
   bool delta_cost_eval = true;
   /// Cluster cache peering (GeneratorOptions::cache_peering): the job's
   /// transposition entries may warm-start from / export to sibling workers,

@@ -79,10 +79,11 @@ Status ClusterRouter::Start(Options opts) {
     workers_.push_back(std::move(w));
     WorkerHealthyFamily().WithLabels({{"worker", std::to_string(i)}})->Set(1.0);
   }
-  // The ring: virtual_nodes hash points per worker, keyed by worker index
+  // The ring: kVirtualNodes hash points per worker, keyed by worker index
   // (stable across restarts with the same worker list).
+  constexpr size_t kVirtualNodes = 16;
   for (size_t i = 0; i < workers_.size(); ++i) {
-    for (size_t v = 0; v < opts_.virtual_nodes; ++v) {
+    for (size_t v = 0; v < kVirtualNodes; ++v) {
       const std::string key =
           "worker-" + std::to_string(i) + "-vnode-" + std::to_string(v);
       ring_.emplace_back(HashBytes(key), i);
@@ -121,7 +122,8 @@ void ClusterRouter::MarkUnhealthyLocked(WorkerState* w) {
   w->idle.clear();
   if (w->backoff_ms <= 0) w->backoff_ms = opts_.reconnect_backoff_ms;
   w->next_probe = Clock::now() + std::chrono::milliseconds(w->backoff_ms);
-  w->backoff_ms = std::min(w->backoff_ms * 2, opts_.reconnect_backoff_max_ms);
+  constexpr int64_t kReconnectBackoffMaxMs = 2000;
+  w->backoff_ms = std::min(w->backoff_ms * 2, kReconnectBackoffMaxMs);
 }
 
 Result<JsonValue> ClusterRouter::Rpc(WorkerState* w, const char* method,
@@ -206,7 +208,8 @@ Result<JsonValue> ClusterRouter::Rpc(WorkerState* w, const char* method,
           .WithLabels({{"worker", std::to_string(w->index)}})
           ->Set(1.0);
     }
-    if (w->idle.size() < opts_.max_pooled_connections) {
+    constexpr size_t kMaxPooledConnections = 8;  // idle, per worker
+    if (w->idle.size() < kMaxPooledConnections) {
       w->idle.push_back(fd);
     } else {
       ::close(fd);
@@ -261,7 +264,7 @@ void ClusterRouter::GossipTt() {
   };
   std::vector<Pulled> pulled;
   api::TtExportRequest exp;
-  exp.max_entries = static_cast<int64_t>(opts_.tt_gossip_max_entries);
+  exp.max_entries = 256;  // per store, per worker, per gossip round
   for (auto& w : workers_) {
     {
       std::lock_guard<std::mutex> lock(w->mu);
@@ -450,7 +453,10 @@ Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
       cluster_id = "j-" + std::to_string(next_job_++);
       jobs_[cluster_id] = Route{w->index, acc.job_id, reply_epoch};
       job_order_.push_back(cluster_id);
-      if (job_order_.size() > opts_.max_job_routes) {
+      // Terminal job routes beyond the cap evict oldest-first (workers
+      // evict their own job history independently).
+      constexpr size_t kMaxJobRoutes = 4096;
+      if (job_order_.size() > kMaxJobRoutes) {
         jobs_.erase(job_order_.front());
         job_order_.erase(job_order_.begin());
       }
@@ -468,14 +474,21 @@ Result<T> ClusterRouter::Forward(Owner owner, const std::string& id,
   const bool job = owner == Owner::kJob;
   IFGEN_ASSIGN_OR_RETURN(Route route, job ? FindJob(id) : FindSession(id));
   int64_t reply_epoch = 0;
-  IFGEN_ASSIGN_OR_RETURN(
-      JsonValue payload,
+  Result<JsonValue> payload =
       Rpc(workers_[route.worker].get(), method,
           make_request(route.remote_id).ToJson(), /*extra_wait_ms=*/wait_ms,
-          /*probe=*/false, &reply_epoch));
+          /*probe=*/false, &reply_epoch);
+  if (!job && payload.status().code() == StatusCode::kNotFound) {
+    // The worker no longer holds the session (closed, or evicted by its
+    // TTL/LRU sweep): forget the route, or the map grows for as long as
+    // the router lives.
+    std::lock_guard<std::mutex> lock(mu_);
+    sessions_.erase(id);
+  }
+  IFGEN_RETURN_NOT_OK(payload.status());
   IFGEN_RETURN_NOT_OK(job ? CheckJobEpoch(id, route, reply_epoch)
                           : CheckSessionEpoch(id, route, reply_epoch));
-  return T::FromJson(payload);
+  return T::FromJson(*payload);
 }
 
 namespace {
@@ -582,6 +595,7 @@ Result<api::ChangeBatchDto> ClusterRouter::PollSession(
 }
 
 Status ClusterRouter::CloseSession(const std::string& session_id) {
+  // A NotFound from the worker has already dropped the route (Forward).
   IFGEN_RETURN_NOT_OK(Forward<api::TextReply>(Owner::kSession, session_id,
                                               api::kMethodCloseSession, 0,
                                               IdOnly)

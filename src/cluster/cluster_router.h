@@ -55,17 +55,10 @@ class ClusterRouter : public api::ServiceFrontend {
     /// Base RPC deadline; long-poll calls extend it by their wait_ms.
     int64_t rpc_timeout_ms = 20000;
     int64_t health_interval_ms = 500;
-    int64_t reconnect_backoff_ms = 100;      ///< initial, doubles per failure
-    int64_t reconnect_backoff_max_ms = 2000;
+    /// Initial reconnect backoff; doubles per failure up to 2 s.
+    int64_t reconnect_backoff_ms = 100;
     /// RPCs in flight per worker beyond this answer ResourceExhausted.
     size_t max_inflight_per_worker = 64;
-    /// Idle pooled connections kept per worker; extras are closed.
-    size_t max_pooled_connections = 8;
-    /// Virtual nodes per worker on the consistent-hash ring.
-    size_t virtual_nodes = 16;
-    /// Terminal job routes beyond this evict oldest-first (workers evict
-    /// their own job history independently).
-    size_t max_job_routes = 4096;
     /// Cache peering (default ON in cluster mode; the single-process
     /// frontend has no peers): generate.submit probes siblings for a
     /// completed identical job (`cache.probe`) and routes to the holder on
@@ -74,8 +67,6 @@ class ClusterRouter : public api::ServiceFrontend {
     /// — request payloads are never mutated, so per-request ablation stays
     /// with ApiOptions::cache_peering.
     bool cache_peering = true;
-    /// Entries per store a gossip round pulls from each worker.
-    size_t tt_gossip_max_entries = 256;
   };
 
   ClusterRouter() = default;
@@ -184,7 +175,8 @@ class ClusterRouter : public api::ServiceFrontend {
   /// One routed call on an existing job or session: resolves `id`'s route,
   /// sends `make_request(remote_id)` to the owning worker (read deadline
   /// extended by `wait_ms`), applies the owner's epoch guard to the reply,
-  /// and decodes its payload as T.
+  /// and decodes its payload as T. A session call the worker answers
+  /// NotFound (closed or evicted there) also erases the session's route.
   template <typename T, typename MakeRequest>
   Result<T> Forward(Owner owner, const std::string& id, const char* method,
                     int64_t wait_ms, const MakeRequest& make_request);

@@ -34,18 +34,14 @@ std::string_view AlgorithmName(Algorithm a);
 struct ParallelOptions {
   /// Worker threads (= search trees); <= 1 = serial (bit-for-bit reproducible).
   size_t num_threads = 1;
-  /// Lock stripes of the shared transposition table.
-  size_t tt_shards = 16;
 };
 
 /// \brief All knobs of the end-to-end generator, with paper defaults —
-/// except the PR-2 search/evaluation refinements, which default on and are
-/// individually ablatable:
-///  - `search.priors` (PriorOptions): log-derived action priors (PUCT) and
-///    progressive widening; `use_priors`/`progressive_widening` false
-///    recovers the paper's uniform expand-all search.
-///  - `delta_cost_eval`: per-subtree delta-cost evaluation; false forces
-///    full re-evaluation per state (bit-identical costs, more recomputes).
+/// except the search refinements in `search.priors` (PriorOptions), which
+/// default on and are ablatable: log-derived action priors (PUCT) and
+/// progressive widening; `use_priors`/`progressive_widening` false recovers
+/// the paper's uniform expand-all search. Delta-cost evaluation
+/// (cost/delta.h) is always on: it changes recompute counts, never costs.
 struct GeneratorOptions {
   Screen screen{100, 40};
   Algorithm algorithm = Algorithm::kMcts;
@@ -61,8 +57,6 @@ struct GeneratorOptions {
   /// contract (API requests select it per job, and sessions execute on it),
   /// so it participates in the service's result-cache key.
   BackendKind backend = BackendKind::kColumnar;
-  /// Delta-cost evaluation ablation flag (EvalOptions::delta_eval).
-  bool delta_cost_eval = true;
   /// k random widget assignments per state during search (paper's k).
   size_t k_assignments = 8;
   /// Derivations per query for the min-change U computation.
@@ -98,7 +92,6 @@ struct GeneratorOptions {
     e.k_assignments = k_assignments;
     e.parse_limit = parse_limit;
     e.enumeration_cap = enumeration_cap;
-    e.delta_eval = delta_cost_eval;
     e.state_keyed_sampling = cache_peering || experience;
     e.sampling_seed = search.seed;
     e.shared_delta = shared_delta_cache;

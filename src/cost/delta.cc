@@ -59,12 +59,6 @@ ChoiceWidgetTerms ComputeChoiceWidgetTerms(const DiffTree& choice_node,
 std::shared_ptr<const ChoiceWidgetTerms> DeltaCostCache::GetChoiceTerms(
     const DiffTree& choice_node, const CostConstants& constants,
     const SizeModel& size_model) {
-  if (!enabled_) {
-    subtree_recomputes_.fetch_add(1, std::memory_order_relaxed);
-    SubtreeRecomputesMetric().Inc();
-    return std::make_shared<const ChoiceWidgetTerms>(
-        ComputeChoiceWidgetTerms(choice_node, constants, size_model));
-  }
   // Order-sensitive hash: the cached labels are read by index against the
   // node's actual children at widget-build time (see delta.h).
   uint64_t key = choice_node.Hash();
@@ -83,12 +77,10 @@ std::shared_ptr<const ChoiceWidgetTerms> DeltaCostCache::GetChoiceTerms(
 
 std::shared_ptr<const TransitionPlan> DeltaCostCache::LookupPlan(
     uint64_t tree_hash) const {
-  if (enabled_) {
-    if (auto cached = plans_.Lookup(tree_hash)) {
-      plan_hits_.fetch_add(1, std::memory_order_relaxed);
-      PlanHitsMetric().Inc();
-      return *cached;
-    }
+  if (auto cached = plans_.Lookup(tree_hash)) {
+    plan_hits_.fetch_add(1, std::memory_order_relaxed);
+    PlanHitsMetric().Inc();
+    return *cached;
   }
   plan_recomputes_.fetch_add(1, std::memory_order_relaxed);
   PlanRecomputesMetric().Inc();
@@ -97,7 +89,6 @@ std::shared_ptr<const TransitionPlan> DeltaCostCache::LookupPlan(
 
 void DeltaCostCache::StorePlan(uint64_t tree_hash,
                                std::shared_ptr<const TransitionPlan> plan) {
-  if (!enabled_) return;
   plans_.Insert(tree_hash, std::move(plan));
 }
 

@@ -24,7 +24,7 @@ struct ChoiceWidgetTerms {
 };
 
 /// Computes the terms from scratch (the "full re-evaluation" the cache
-/// memoizes; also the implementation the ablation flag falls back to).
+/// memoizes).
 ChoiceWidgetTerms ComputeChoiceWidgetTerms(const DiffTree& choice_node,
                                            const CostConstants& constants,
                                            const SizeModel& size_model);
@@ -50,18 +50,14 @@ ChoiceWidgetTerms ComputeChoiceWidgetTerms(const DiffTree& choice_node,
 ///    derivation enumeration between SampleCost and FindBest visits to the
 ///    same state.
 ///
-/// When `enabled` is false (the ablation flag), every call recomputes and
-/// nothing is stored; the counters keep counting, so benches can report
-/// full-recompute counts for both modes. Cached and recomputed values are
-/// the same pure functions, so costs are bit-identical either way (tested).
+/// Cached and recomputed values are the same pure functions, so costs are
+/// bit-identical to a from-scratch evaluation (tested against a cold
+/// evaluator and an uncached WidgetAssigner).
 ///
 /// Thread-safe: sharded striped locks, atomic counters, first writer wins.
 class DeltaCostCache {
  public:
-  explicit DeltaCostCache(bool enabled = true, size_t shards = 16)
-      : enabled_(enabled), terms_(shards), plans_(shards) {}
-
-  bool enabled() const { return enabled_; }
+  explicit DeltaCostCache(size_t shards = 16) : terms_(shards), plans_(shards) {}
 
   /// The choice node's widget terms, from cache when possible. Entries are
   /// shared immutable objects, so a hit copies one pointer under the shard
@@ -90,7 +86,6 @@ class DeltaCostCache {
   size_t plan_hits() const { return plan_hits_.load(std::memory_order_relaxed); }
 
  private:
-  bool enabled_;
   ShardedMap<std::shared_ptr<const ChoiceWidgetTerms>> terms_;
   ShardedMap<std::shared_ptr<const TransitionPlan>> plans_;
   std::atomic<size_t> subtree_recomputes_{0};

@@ -12,6 +12,9 @@ namespace ifgen {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Random assignments FindBest samples (after the greedy seed) when a
+/// state's widget-tree space exceeds `enumeration_cap`.
+constexpr size_t kSampleFallback = 800;
 
 // Registry handles resolved once; the hot path is a sharded relaxed add.
 obs::Counter& EvaluationsMetric() {
@@ -29,12 +32,8 @@ obs::Counter& EvalCacheHitsMetric() {
 StateEvaluator::StateEvaluator(const EvalOptions& opts, const std::vector<Ast>& queries)
     : opts_(opts), queries_(queries),
       model_(opts_.constants, opts_.screen, opts_.parse_limit),
-      // A caller-shared cross-search cache only when delta evaluation is on
-      // (a shared cache is always created enabled, so the ablation flag must
-      // win); private otherwise.
-      delta_(opts.shared_delta != nullptr && opts.delta_eval
-                 ? opts.shared_delta
-                 : std::make_shared<DeltaCostCache>(opts.delta_eval)) {}
+      delta_(opts.shared_delta != nullptr ? opts.shared_delta
+                                          : std::make_shared<DeltaCostCache>()) {}
 
 std::shared_ptr<const TransitionPlan> StateEvaluator::PlanFor(const DiffTree& tree) {
   // Order-sensitive hash: plans encode pre-order choice ids, so two trees
@@ -131,7 +130,7 @@ Result<ScoredWidgetTree> StateEvaluator::FindBest(const DiffTree& tree, Rng* rng
     // Sample (greedy seed first), then coordinate-descent on the best.
     EvaluateAssignment(assigner, assigner.MinAppropriatenessAssignment(), *plan,
                        &best);
-    for (size_t i = 0; i < opts_.sample_fallback; ++i) {
+    for (size_t i = 0; i < kSampleFallback; ++i) {
       Assignment a = assigner.RandomAssignment(rng);
       EvaluateAssignment(assigner, a, *plan, &best);
     }

@@ -22,16 +22,8 @@ struct EvalOptions {
   /// Exhaustive widget-tree enumeration cap for the final state; above it
   /// we fall back to sampling + coordinate-descent refinement.
   double enumeration_cap = 20000;
-  size_t sample_fallback = 800;
   /// Memoize sampled state costs by canonical difftree hash.
   bool cache_enabled = true;
-  /// Delta-cost evaluation: memoize per-subtree cost contributions (choice
-  /// widget terms, transition plans) so evaluating a state recomputes only
-  /// the subtrees touched by the rule application that produced it. The
-  /// ablation flag — setting this false forces full re-evaluation — yields
-  /// bit-identical costs (tested); only the recompute counters change.
-  /// See cost/delta.h and docs/cost-model.md.
-  bool delta_eval = true;
   /// Mix the greedy min-M assignment into each state's k samples. The paper
   /// uses k purely random assignments; the greedy seed makes the sampled
   /// reward a far better estimate of a state's potential (ablation:
@@ -92,8 +84,6 @@ class StateEvaluator {
 
   /// Delta-cost instrumentation (see DeltaCostCache): subtree-term and
   /// transition-plan computations performed vs. answered from the caches.
-  /// With `delta_eval` off, every call counts as a recompute, so the same
-  /// counters quantify both sides of the ablation.
   size_t subtree_recomputes() const { return delta_->subtree_recomputes(); }
   size_t subtree_cache_hits() const { return delta_->subtree_hits(); }
   size_t plan_recomputes() const { return delta_->plan_recomputes(); }
@@ -104,8 +94,8 @@ class StateEvaluator {
                             const TransitionPlan& plan, ScoredWidgetTree* best);
 
   /// The state's transition plan, memoized by order-sensitive tree hash
-  /// when delta evaluation is on (shared immutable object — cache hits
-  /// copy a pointer, not the per-query change lists).
+  /// (shared immutable object — cache hits copy a pointer, not the
+  /// per-query change lists).
   std::shared_ptr<const TransitionPlan> PlanFor(const DiffTree& tree);
 
   EvalOptions opts_;

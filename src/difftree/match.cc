@@ -43,17 +43,20 @@ using AstList = std::vector<const Ast*>;
 /// commits the branch, returning false requests further backtracking.
 using Cont = std::function<bool(size_t)>;
 
+/// Backtracking step budget; exceeded => treated as no-match (logged).
+constexpr size_t kMaxSteps = 2'000'000;
+/// Maximum repetitions a MULTI may consume.
+constexpr size_t kMaxMulti = 24;
+
 class Matcher {
  public:
-  explicit Matcher(const MatchOptions& opts) : opts_(opts) {}
-
   bool exhausted() const { return exhausted_; }
 
   /// Tries every way `node` can consume a prefix of asts[j...); `deriv` holds
   /// the derivation of the branch active when `cont` committed.
   bool MatchOne(const DiffTree& node, const AstList& asts, size_t j, Derivation* deriv,
                 const Cont& cont) {
-    if (++steps_ > opts_.max_steps) {
+    if (++steps_ > kMaxSteps) {
       exhausted_ = true;
       return false;
     }
@@ -111,7 +114,7 @@ class Matcher {
         deriv->children.clear();
         // MatchMulti resizes deriv->children while recursion holds pointers
         // to earlier elements; reserving up front pins them in place.
-        deriv->children.reserve(opts_.max_multi + 1);
+        deriv->children.reserve(kMaxMulti + 1);
         return MatchMulti(node, asts, j, 0, deriv, cont);
       }
     }
@@ -134,7 +137,7 @@ class Matcher {
     deriv->choice = static_cast<int>(count);
     deriv->children.resize(count);
     if (cont(j)) return true;
-    if (exhausted_ || count >= opts_.max_multi) return false;
+    if (exhausted_ || count >= kMaxMulti) return false;
     deriv->children.resize(count + 1);
     bool ok = MatchOne(node.children[0], asts, j, &deriv->children[count],
                        [&](size_t j2) {
@@ -148,17 +151,15 @@ class Matcher {
     return ok;
   }
 
-  const MatchOptions& opts_;
   size_t steps_ = 0;
   bool exhausted_ = false;
 };
 
 }  // namespace
 
-std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
-                                     const MatchOptions& opts) {
+std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query) {
   AstList asts = {&query};
-  Matcher m(opts);
+  Matcher m;
   Derivation deriv;
   bool ok = m.MatchOne(root, asts, 0, &deriv, [&](size_t j) { return j == 1; });
   if (m.exhausted()) {
@@ -170,11 +171,11 @@ std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
 }
 
 std::vector<Derivation> EnumerateDerivations(const DiffTree& root, const Ast& query,
-                                             size_t limit, const MatchOptions& opts) {
+                                             size_t limit) {
   std::vector<Derivation> out;
   if (limit == 0) return out;
   AstList asts = {&query};
-  Matcher m(opts);
+  Matcher m;
   Derivation deriv;
   // The continuation reports failure after collecting each complete parse so
   // the matcher keeps backtracking into the next one, until `limit`.
@@ -186,10 +187,9 @@ std::vector<Derivation> EnumerateDerivations(const DiffTree& root, const Ast& qu
   return out;
 }
 
-bool ExpressesAll(const DiffTree& root, const std::vector<Ast>& queries,
-                  const MatchOptions& opts) {
+bool ExpressesAll(const DiffTree& root, const std::vector<Ast>& queries) {
   for (const Ast& q : queries) {
-    if (!MatchQuery(root, q, opts).has_value()) return false;
+    if (!MatchQuery(root, q).has_value()) return false;
   }
   return true;
 }

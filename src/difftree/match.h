@@ -29,30 +29,21 @@ struct Derivation {
   std::string Encode() const;
 };
 
-/// \brief Limits for the backtracking matcher.
-struct MatchOptions {
-  /// Backtracking step budget; exceeded => treated as no-match (logged).
-  size_t max_steps = 2'000'000;
-  /// Maximum repetitions a MULTI may consume.
-  size_t max_multi = 24;
-};
-
 /// \brief Matches `query` against the difftree. Returns the first-found
 /// derivation (deterministic: alternatives are tried in order, OPT prefers
 /// absent-last, MULTI prefers fewer copies) or nullopt when inexpressible.
-std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query,
-                                     const MatchOptions& opts = {});
+/// The backtracking matcher is bounded (2M steps, 24 repetitions per
+/// MULTI); an exhausted step budget is treated as no-match (logged).
+std::optional<Derivation> MatchQuery(const DiffTree& root, const Ast& query);
 
 /// \brief Enumerates up to `limit` distinct derivations of `query` (used by
 /// the cost model to pick the parse minimizing widget changes).
 std::vector<Derivation> EnumerateDerivations(const DiffTree& root, const Ast& query,
-                                             size_t limit,
-                                             const MatchOptions& opts = {});
+                                             size_t limit);
 
 /// \brief True when every query is expressible by the difftree. This is the
 /// core invariant the transformation rules must preserve.
-bool ExpressesAll(const DiffTree& root, const std::vector<Ast>& queries,
-                  const MatchOptions& opts = {});
+bool ExpressesAll(const DiffTree& root, const std::vector<Ast>& queries);
 
 /// \brief Re-expands a derivation into the AST-node sequence it denotes (the
 /// inverse of matching). A full-query derivation expands to one AST.

@@ -198,18 +198,15 @@ void HttpServer::Stop() {
   }
   workers_.clear();
   std::lock_guard<std::mutex> lock(mu_);
-  for (const PendingConn& c : pending_) ::close(c.fd);
+  for (int fd : pending_) ::close(fd);
   pending_.clear();
-  client_conns_.clear();
   listen_fd_ = -1;
   started_ = false;
 }
 
 void HttpServer::AcceptLoop() {
   while (!stopping_.load()) {
-    sockaddr_in peer{};
-    socklen_t peer_len = sizeof peer;
-    int fd = ::accept(listen_fd_, reinterpret_cast<sockaddr*>(&peer), &peer_len);
+    int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (stopping_.load()) return;
       if (errno == EINTR || errno == ECONNABORTED) continue;  // transient
@@ -231,37 +228,21 @@ void HttpServer::AcceptLoop() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
-    // Admission: a full accept queue answers 503, a client over its
-    // connection cap answers 429 — both retryable per the API error
-    // contract, both closed without touching the worker pool.
-    const uint32_t client_ip = ntohl(peer.sin_addr.s_addr);
+    // Admission: a full accept queue answers 503 (retryable per the API
+    // error contract) and closes without touching the worker pool.
     bool queue_full = false;
-    bool client_capped = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (pending_.size() >= opts_.max_queued_connections) {
-        queue_full = true;
-      } else if (opts_.max_connections_per_client > 0 &&
-                 client_conns_[client_ip] >= opts_.max_connections_per_client) {
-        client_capped = true;
-      } else {
-        if (opts_.max_connections_per_client > 0) ++client_conns_[client_ip];
-        pending_.push_back(PendingConn{fd, client_ip});
-      }
+      queue_full = pending_.size() >= opts_.max_queued_connections;
+      if (!queue_full) pending_.push_back(fd);
     }
-    if (queue_full || client_capped) {
+    if (queue_full) {
       const std::string body =
-          queue_full ? "{\"code\":\"Unavailable\",\"message\":\"server accept "
-                       "queue is full\",\"retryable\":true}"
-                     : "{\"code\":\"ResourceExhausted\",\"message\":\"too many "
-                       "connections from this client\",\"retryable\":true}";
-      const int status = queue_full ? 503 : 429;
-      IFGEN_LOG_C(Warning, "http")
-          << "rejecting connection (" << status << "): "
-          << (queue_full ? "accept queue full at " : "client over per-IP cap of ")
-          << (queue_full ? opts_.max_queued_connections
-                         : opts_.max_connections_per_client);
-      SendAll(fd, StrFormat("HTTP/1.1 %d %s\r\n", status, ReasonPhrase(status)) +
+          "{\"code\":\"Unavailable\",\"message\":\"server accept queue is "
+          "full\",\"retryable\":true}";
+      IFGEN_LOG_C(Warning, "http") << "rejecting connection (503): accept queue full at "
+                                   << opts_.max_queued_connections;
+      SendAll(fd, StrFormat("HTTP/1.1 503 %s\r\n", ReasonPhrase(503)) +
                       "Content-Type: application/json\r\nRetry-After: 1\r\n"
                       "Connection: close\r\n" +
                       StrFormat("Content-Length: %zu\r\n\r\n", body.size()) +
@@ -275,21 +256,16 @@ void HttpServer::AcceptLoop() {
 
 void HttpServer::WorkerLoop() {
   while (true) {
-    PendingConn conn;
+    int fd = -1;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_.load() || !pending_.empty(); });
       if (stopping_.load()) return;
-      conn = pending_.front();
+      fd = pending_.front();
       pending_.pop_front();
     }
-    HandleConnection(conn.fd);
-    ::close(conn.fd);
-    if (opts_.max_connections_per_client > 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = client_conns_.find(conn.client_ip);
-      if (it != client_conns_.end() && --it->second == 0) client_conns_.erase(it);
-    }
+    HandleConnection(fd);
+    ::close(fd);
   }
 }
 

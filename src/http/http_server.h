@@ -87,11 +87,6 @@ class HttpServer {
     /// memory a stalled worker pool can accumulate; previously the queue
     /// was unbounded.
     size_t max_queued_connections = 256;
-    /// Concurrent connections per client IP (queued + in handling) beyond
-    /// this are answered `429 Too Many Requests` (retryable) and closed.
-    /// 0 disables the cap (the default: loopback test/dev traffic shares
-    /// one IP).
-    size_t max_connections_per_client = 0;
     /// Value for `Access-Control-Allow-Origin`, e.g. "*" or an origin URL.
     /// Empty (the default) emits no CORS headers at all: browsers then
     /// refuse cross-origin reads, so a random web page cannot drive a
@@ -132,17 +127,9 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   bool started_ = false;
 
-  struct PendingConn {
-    int fd = -1;
-    uint32_t client_ip = 0;  ///< host order; keys the per-client count
-  };
-
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<PendingConn> pending_;  ///< accepted fds awaiting a worker
-  /// Connections per client IP, queued or in handling (only tracked while
-  /// max_connections_per_client is set).
-  std::map<uint32_t, size_t> client_conns_;
+  std::deque<int> pending_;  ///< accepted fds awaiting a worker
 
   std::thread accept_thread_;
   std::vector<std::thread> workers_;

@@ -195,20 +195,18 @@ std::vector<InteractiveRuntime::RowChange> DiffTables(
 // ---------------------------------------------------------------------------
 
 InteractiveRuntime::InteractiveRuntime(InterfaceSession session,
-                                       std::shared_ptr<ExecutionBackend> backend,
-                                       Options opts)
+                                       std::shared_ptr<ExecutionBackend> backend)
     : session_(std::make_unique<InterfaceSession>(std::move(session))),
-      backend_(std::move(backend)),
-      opts_(opts) {}
+      backend_(std::move(backend)) {}
 
 Result<std::unique_ptr<InteractiveRuntime>> InteractiveRuntime::Create(
     const GeneratedInterface& iface, const CostConstants& constants,
-    std::shared_ptr<ExecutionBackend> backend, Options opts) {
+    std::shared_ptr<ExecutionBackend> backend) {
   if (backend == nullptr) return Status::Invalid("InteractiveRuntime: null backend");
   IFGEN_ASSIGN_OR_RETURN(InterfaceSession session,
                          InterfaceSession::Create(iface, constants));
   std::unique_ptr<InteractiveRuntime> rt(
-      new InteractiveRuntime(std::move(session), std::move(backend), opts));
+      new InteractiveRuntime(std::move(session), std::move(backend)));
   rt->constants_ = constants;
   {
     std::lock_guard<std::mutex> lock(rt->mu_);
@@ -296,63 +294,57 @@ Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
 
   const std::string memo_key = pq.key + "\x1f" + FingerprintParams(pq.params);
   CachedResultPtr out;
-  if (opts_.enable_delta) {
-    if (cls == TransitionClass::kNoop) {
-      out = prev_result_;
+  if (cls == TransitionClass::kNoop) {
+    out = prev_result_;
+    report.incremental = true;
+    ++counters_.noops;
+    bump_path("noop");
+  }
+  if (out == nullptr) {
+    out = MemoLookup(memo_key);
+    if (out != nullptr) {
       report.incremental = true;
-      ++counters_.noops;
-      bump_path("noop");
+      report.from_cache = true;
+      ++counters_.cache_hits;
+      bump_path("result_cache_hit");
     }
-    if (out == nullptr) {
-      out = MemoLookup(memo_key);
-      if (out != nullptr) {
+  }
+  if (out == nullptr && cls == TransitionClass::kLimitOnly &&
+      prev_result_->delta_state()) {
+    auto limit = ResolveLimitParams(info, pq.params);
+    if (limit.ok()) {
+      // Shares the retained pre-truncation table and selection; only the
+      // truncated view (if the cap cuts) is materialized.
+      out = MakeCachedShared(prev_result_->full, *limit, prev_result_->selection);
+      report.incremental = true;
+      ++counters_.retruncates;
+      bump_path("retruncate");
+    }
+  }
+  if (out == nullptr &&
+      (cls == TransitionClass::kTighten || cls == TransitionClass::kLoosen) &&
+      prev_result_->delta_state()) {
+    auto prepared = backend_->PrepareShape(pq);
+    if (prepared.ok()) {
+      if (auto* dc = dynamic_cast<DeltaCapablePlan*>(*prepared)) {
+        DeltaHint hint;
+        hint.mode = cls == TransitionClass::kTighten ? DeltaHint::Mode::kTighten
+                                                     : DeltaHint::Mode::kLoosen;
+        hint.prior_selection = prev_result_->selection.get();
+        IFGEN_ASSIGN_OR_RETURN(DeltaResult dr, dc->ExecuteDelta(pq.params, &hint));
+        out = MakeCached(std::move(dr));
         report.incremental = true;
-        report.from_cache = true;
-        ++counters_.cache_hits;
-        bump_path("result_cache_hit");
+        ++counters_.delta_execs;
+        bump_path("delta_exec");
       }
     }
-    if (out == nullptr && cls == TransitionClass::kLimitOnly &&
-        prev_result_->delta_state()) {
-      auto limit = ResolveLimitParams(info, pq.params);
-      if (limit.ok()) {
-        // Shares the retained pre-truncation table and selection; only the
-        // truncated view (if the cap cuts) is materialized.
-        out = MakeCachedShared(prev_result_->full, *limit, prev_result_->selection);
-        report.incremental = true;
-        ++counters_.retruncates;
-        bump_path("retruncate");
-      }
-    }
-    if (out == nullptr &&
-        (cls == TransitionClass::kTighten || cls == TransitionClass::kLoosen) &&
-        prev_result_->delta_state()) {
-      auto prepared = backend_->PrepareShape(pq);
-      if (prepared.ok()) {
-        if (auto* dc = dynamic_cast<DeltaCapablePlan*>(*prepared)) {
-          DeltaHint hint;
-          hint.mode = cls == TransitionClass::kTighten ? DeltaHint::Mode::kTighten
-                                                       : DeltaHint::Mode::kLoosen;
-          hint.prior_selection = prev_result_->selection.get();
-          IFGEN_ASSIGN_OR_RETURN(DeltaResult dr, dc->ExecuteDelta(pq.params, &hint));
-          out = MakeCached(std::move(dr));
-          report.incremental = true;
-          ++counters_.delta_execs;
-          bump_path("delta_exec");
-        }
-      }
-    }
-    if (out == nullptr) {
-      IFGEN_ASSIGN_OR_RETURN(out, ExecuteFull(pq));
-      ++counters_.full_execs;
-      ++counters_.fallbacks;
-      bump_path("full_exec");
-      bump_path("fallback");
-    }
-  } else {
+  }
+  if (out == nullptr) {
     IFGEN_ASSIGN_OR_RETURN(out, ExecuteFull(pq));
     ++counters_.full_execs;
+    ++counters_.fallbacks;
     bump_path("full_exec");
+    bump_path("fallback");
   }
 
   // Row-level delta against the previous served result (also feeds the
@@ -380,7 +372,7 @@ Result<InteractiveRuntime::StepReport> InteractiveRuntime::StepLocked(
     }
   }
 
-  if (opts_.enable_delta) MemoStore(memo_key, out);
+  MemoStore(memo_key, out);
   prev_key_ = std::move(pq.key);
   prev_params_ = std::move(pq.params);
   prev_info_ = std::move(info);
@@ -425,9 +417,7 @@ InteractiveRuntime::CachedResultPtr InteractiveRuntime::MakeCachedShared(
 Result<InteractiveRuntime::CachedResultPtr> InteractiveRuntime::ExecuteFull(
     const ParameterizedQuery& pq) {
   IFGEN_ASSIGN_OR_RETURN(PreparedQuery * plan, backend_->PrepareShape(pq));
-  DeltaCapablePlan* dc =
-      opts_.enable_delta ? dynamic_cast<DeltaCapablePlan*>(plan) : nullptr;
-  if (dc != nullptr) {
+  if (auto* dc = dynamic_cast<DeltaCapablePlan*>(plan)) {
     IFGEN_ASSIGN_OR_RETURN(DeltaResult dr, dc->ExecuteDelta(pq.params, nullptr));
     return MakeCached(std::move(dr));
   }
@@ -447,7 +437,8 @@ InteractiveRuntime::CachedResultPtr InteractiveRuntime::MemoLookup(
 }
 
 void InteractiveRuntime::MemoStore(const std::string& key, CachedResultPtr value) {
-  if (opts_.result_cache_capacity == 0) return;
+  // Memoized results retained per runtime (LRU).
+  constexpr size_t kMemoCapacity = 64;
   auto it = memo_.find(key);
   if (it != memo_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -456,7 +447,7 @@ void InteractiveRuntime::MemoStore(const std::string& key, CachedResultPtr value
   }
   lru_.emplace_front(key, std::move(value));
   memo_[key] = lru_.begin();
-  while (lru_.size() > opts_.result_cache_capacity) {
+  while (lru_.size() > kMemoCapacity) {
     memo_.erase(lru_.back().first);
     lru_.pop_back();
   }

@@ -43,27 +43,15 @@ namespace ifgen {
 /// full execution. All public methods are serialized by an internal mutex
 /// so a future HTTP front-end can poll the change feed concurrently with
 /// interactions.
-/// \brief Tuning knobs of an InteractiveRuntime (namespace-scope so it can
-/// serve as an in-class default argument).
-struct InteractiveOptions {
-  /// Memoized results retained per runtime (LRU); 0 disables the memo.
-  size_t result_cache_capacity = 64;
-  /// Ablation flag: false forces full re-execution on every step (the
-  /// differential baseline and the bench comparison arm).
-  bool enable_delta = true;
-};
-
 class InteractiveRuntime {
  public:
-  using Options = InteractiveOptions;
-
   /// Builds a runtime positioned at the interface's first query, with that
   /// query already executed (current_result() is valid on success).
   /// `backend` is shared (GenerationService::BackendFor hands out one per
   /// database × kind) and must outlive the runtime.
   static Result<std::unique_ptr<InteractiveRuntime>> Create(
       const GeneratedInterface& iface, const CostConstants& constants,
-      std::shared_ptr<ExecutionBackend> backend, Options opts = {});
+      std::shared_ptr<ExecutionBackend> backend);
 
   /// \brief What one interaction step did: transition class, how the result
   /// was maintained, and the row-level delta against the previous result.
@@ -168,7 +156,9 @@ class InteractiveRuntime {
     size_t delta_execs = 0;  ///< tighten/loosen selection-delta executions
     size_t retruncates = 0;  ///< limit-only: retained table re-truncated
     size_t full_execs = 0;   ///< full pipeline executions
-    size_t fallbacks = 0;    ///< full executions forced while delta enabled
+    /// Full executions because no incremental path applied: always equal
+    /// to full_execs (there is no off switch), kept for the stats wire.
+    size_t fallbacks = 0;
   };
   Counters counters() const;
 
@@ -189,7 +179,7 @@ class InteractiveRuntime {
   using CachedResultPtr = std::shared_ptr<const CachedResult>;
 
   InteractiveRuntime(InterfaceSession session,
-                     std::shared_ptr<ExecutionBackend> backend, Options opts);
+                     std::shared_ptr<ExecutionBackend> backend);
 
   /// The shared tail of every interaction: (re)executes or maintains the
   /// result for the session's current query. Requires mu_ held.
@@ -217,7 +207,6 @@ class InteractiveRuntime {
 
   std::unique_ptr<InterfaceSession> session_;
   std::shared_ptr<ExecutionBackend> backend_;
-  Options opts_;
   CostConstants constants_;
 
   mutable std::mutex mu_;
@@ -231,7 +220,8 @@ class InteractiveRuntime {
   std::vector<size_t> prev_group_key_cols_;  ///< update-detection key columns
   CachedResultPtr prev_result_;
 
-  // Memoized results, LRU: (shape key + param fingerprint) -> result.
+  // Memoized results, LRU: (shape key + param fingerprint) -> result; at
+  // most 64 entries (MemoStore).
   std::list<std::pair<std::string, CachedResultPtr>> lru_;
   std::unordered_map<
       std::string, std::list<std::pair<std::string, CachedResultPtr>>::iterator>

@@ -135,11 +135,9 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
 
   const ParallelOptions& p = o.parallel;
   h = HashU64(h, p.num_threads);
-  h = HashU64(h, p.tt_shards);
 
   const RuleSetOptions& r = o.rules;
   h = HashU64(h, r.enable_noop_wrap ? 1 : 0);
-  h = HashU64(h, static_cast<uint64_t>(r.all2any_max_alts));
   h = HashU64(h, r.max_tree_nodes);
 
   h = HashBytes(std::string_view(reinterpret_cast<const char*>(&o.constants),
@@ -230,7 +228,10 @@ uint64_t GenerationService::TtStoreKey(const JobSpec& spec) {
   h = HashU64(h, o.k_assignments);
   h = HashU64(h, o.parse_limit);
   h = HashF64(h, o.enumeration_cap);
-  h = HashU64(h, o.delta_cost_eval ? 1 : 0);
+  // The slot of the retired delta-cost ablation flag (always on): hashing
+  // its old value keeps persisted experience files, keyed by this value,
+  // warm-starting (pinned by runtime_test).
+  h = HashU64(h, 1);
   h = HashU64(h, o.cache_peering ? 1 : 0);
   h = HashU64(h, o.experience ? 1 : 0);
   h = HashU64(h, o.search.seed);
@@ -277,12 +278,12 @@ std::vector<GenerationService::BackendStatEntry> GenerationService::backend_stat
 
 Result<std::shared_ptr<InteractiveRuntime>> GenerationService::OpenSession(
     const GeneratedInterface& iface, const CostConstants& constants,
-    const Database* db, BackendKind kind, InteractiveRuntime::Options opts) {
+    const Database* db, BackendKind kind) {
   IFGEN_ASSIGN_OR_RETURN(std::shared_ptr<ExecutionBackend> backend,
                          BackendFor(db, kind));
   IFGEN_ASSIGN_OR_RETURN(std::unique_ptr<InteractiveRuntime> runtime,
                          InteractiveRuntime::Create(iface, constants,
-                                                    std::move(backend), opts));
+                                                    std::move(backend)));
   std::lock_guard<std::mutex> lock(mu_);
   ++sessions_opened_;
   ServiceMetrics::Get().sessions_opened->Inc();
@@ -300,11 +301,7 @@ GenerationService::GenerationService(Options opts)
     : cache_capacity_(opts.cache_capacity),
       max_pending_jobs_(opts.max_pending_jobs),
       job_history_capacity_(std::max<size_t>(1, opts.job_history_capacity)),
-      tt_peer_store_capacity_(opts.tt_peer_store_capacity),
-      tt_peer_entries_per_store_(opts.tt_peer_entries_per_store),
       experience_(std::move(opts.experience)),
-      experience_seed_limit_(opts.experience_seed_limit),
-      shared_delta_store_capacity_(opts.shared_delta_store_capacity),
       pool_(std::max<size_t>(1, opts.num_threads)) {}
 
 GenerationService::~GenerationService() = default;
@@ -334,12 +331,16 @@ bool GenerationService::CachePeek(uint64_t key) const {
 size_t GenerationService::TtIngest(uint64_t store_key,
                                    const std::vector<TtSeedEntry>& entries,
                                    bool local_origin) {
-  if (tt_peer_store_capacity_ == 0 || tt_peer_entries_per_store_ == 0) return 0;
+  // Peer stores kept (one per TtStoreKey cost identity; the oldest is
+  // dropped beyond the cap) and entries retained per store (ingests beyond
+  // it are dropped: first writer wins, so the earliest discoveries stay).
+  constexpr size_t kTtPeerStoreCapacity = 32;
+  constexpr size_t kTtPeerEntriesPerStore = 4096;
   std::lock_guard<std::mutex> lock(mu_);
   auto it = tt_peers_.find(store_key);
   if (it == tt_peers_.end()) {
     if (entries.empty()) return 0;  // don't spend a store slot on nothing
-    while (tt_peers_.size() >= tt_peer_store_capacity_ &&
+    while (tt_peers_.size() >= kTtPeerStoreCapacity &&
            !tt_peer_order_.empty()) {
       tt_peers_.erase(tt_peer_order_.front());
       tt_peer_order_.pop_front();
@@ -350,7 +351,7 @@ size_t GenerationService::TtIngest(uint64_t store_key,
   TtPeerStore& store = it->second;
   size_t inserted = 0;
   for (const TtSeedEntry& e : entries) {
-    if (store.entries.size() >= tt_peer_entries_per_store_) break;
+    if (store.entries.size() >= kTtPeerEntriesPerStore) break;
     auto [slot, fresh] = store.entries.try_emplace(e.canonical);
     if (!fresh) continue;  // first writer wins, matching the table semantics
     slot->second.entry = e;
@@ -551,8 +552,13 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
       }
     }
     if (learning) {
+      // Most-visited records seeded into one search's bridge: at least one
+      // search's export (the bridge's export_limit, 512, plus root records),
+      // since visit ordering favors hot rollout states and a tighter limit
+      // can crowd out the root-action records that shift the next opening.
+      constexpr size_t kExperienceSeedLimit = 1024;
       const std::vector<learn::ExperienceRecord> snap =
-          experience_->Snapshot(store_key, experience_seed_limit_);
+          experience_->Snapshot(store_key, kExperienceSeedLimit);
       bridge->experience_seed.reserve(snap.size());
       for (const learn::ExperienceRecord& rec : snap) {
         bridge->experience_seed.push_back({rec.canonical, rec.best_cost, rec.visits});
@@ -564,24 +570,22 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
       }
       // Same-identity experience jobs also share one delta-cost cache, so a
       // warm start skips subtree/plan recomputes too (bit-safe: delta terms
-      // are pure functions of their keys; see cost/delta.h).
-      if (spec.options.delta_cost_eval && shared_delta_store_capacity_ > 0) {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = delta_stores_.find(store_key);
-        if (it == delta_stores_.end()) {
-          while (delta_stores_.size() >= shared_delta_store_capacity_ &&
-                 !delta_store_order_.empty()) {
-            delta_stores_.erase(delta_store_order_.front());
-            delta_store_order_.pop_front();
-          }
-          it = delta_stores_
-                   .emplace(store_key,
-                            std::make_shared<DeltaCostCache>(/*enabled=*/true))
-                   .first;
-          delta_store_order_.push_back(store_key);
+      // are pure functions of their keys; see cost/delta.h). At most
+      // kSharedDeltaStores identities are kept, oldest dropped first.
+      constexpr size_t kSharedDeltaStores = 8;
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = delta_stores_.find(store_key);
+      if (it == delta_stores_.end()) {
+        while (delta_stores_.size() >= kSharedDeltaStores &&
+               !delta_store_order_.empty()) {
+          delta_stores_.erase(delta_store_order_.front());
+          delta_store_order_.pop_front();
         }
-        spec.options.shared_delta_cache = it->second;
+        it = delta_stores_.emplace(store_key, std::make_shared<DeltaCostCache>())
+                 .first;
+        delta_store_order_.push_back(store_key);
       }
+      spec.options.shared_delta_cache = it->second;
     }
     // With tracing on, every span the generation emits on this thread is
     // also captured into a job-private recorder, served later through

@@ -187,12 +187,14 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
       exp_seed.emplace(e.canonical, &e);
     }
   }
+  // Cap on the virtual visits one experience entry may grant a root child.
+  constexpr uint64_t kRootVisitCap = 8;
   auto seed_root_child = [&](Node* child) {
     if (exp_seed.empty() || child->parent != root.get()) return;
     auto it = exp_seed.find(child->canonical);
     if (it == exp_seed.end()) return;
-    const uint64_t v = std::min<uint64_t>(
-        std::max<uint64_t>(it->second->visits, 1), p.seed_bridge->root_visit_cap);
+    const uint64_t v =
+        std::min<uint64_t>(std::max<uint64_t>(it->second->visits, 1), kRootVisitCap);
     child->visits += v;
     child->total_reward += static_cast<double>(v) * reward_of(it->second->cost);
     ++stats.root_seeded;

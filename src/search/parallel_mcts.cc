@@ -8,6 +8,11 @@
 
 namespace ifgen {
 
+namespace {
+/// Lock stripes of the ensemble's shared transposition table.
+constexpr size_t kTtShards = 16;
+}  // namespace
+
 Result<SearchResult> ParallelMctsSearcher::Run(const DiffTree& initial) {
   if (parallel_.num_threads <= 1) {
     // Serial fallback: the determinism contract ("num_threads=1 matches the
@@ -19,7 +24,7 @@ Result<SearchResult> ParallelMctsSearcher::Run(const DiffTree& initial) {
   Stopwatch watch;
   RunControl rc(opts_);
   Deadline& deadline = rc.deadline();
-  TranspositionTable tt(parallel_.tt_shards);
+  TranspositionTable tt(kTtShards);
   SeedTranspositions(opts_.seed_bridge.get(), &tt);
   SharedBestTracker best;
   best.sink = opts_.progress.get();

@@ -106,8 +106,6 @@ struct SeedBridge {
   /// In: experience-store records for this search's cost identity, hottest
   /// first.
   std::vector<TtSeedEntry> experience_seed;
-  /// Cap on the virtual visits one experience entry may grant a root child.
-  size_t root_visit_cap = 8;
   /// Cap on entries exported after the run (hottest by visits).
   size_t export_limit = 512;
   /// Out: the run's hottest locally sampled finite-cost entries.

@@ -966,6 +966,34 @@ TEST(Dto, ApiOptionsDefaultsMirrorGeneratorOptions) {
   EXPECT_EQ(converted->search.seed, internal.search.seed);
 }
 
+TEST(Dto, DeltaCostEvalAcceptedAndIgnored) {
+  // v1 clients may still send the retired ablation flag: both values decode
+  // and map onto the same generator configuration, so neither the result
+  // cache key nor the experience/peering store key can tell them apart.
+  auto decode = [](const char* value) {
+    auto v = ParseJson(std::string(R"({"max_iterations":5,"delta_cost_eval":)") +
+                       value + "}");
+    EXPECT_TRUE(v.ok());
+    auto o = ApiOptions::FromJson(*v);
+    EXPECT_TRUE(o.ok()) << o.status().ToString();
+    auto g = o->ToGeneratorOptions();
+    EXPECT_TRUE(g.ok()) << g.status().ToString();
+    return *g;
+  };
+  const GeneratorOptions off = decode("false");
+  const GeneratorOptions on = decode("true");
+  EXPECT_TRUE(ApiOptions::FromGeneratorOptions(off) ==
+              ApiOptions::FromGeneratorOptions(on));
+  EXPECT_TRUE(ApiOptions::FromGeneratorOptions(off).delta_cost_eval);
+
+  const std::vector<std::string> sqls = {"select a from t", "select b from t"};
+  JobSpec spec_off{sqls, off};
+  JobSpec spec_on{sqls, on};
+  EXPECT_EQ(GenerationService::JobKey(spec_off), GenerationService::JobKey(spec_on));
+  EXPECT_EQ(GenerationService::TtStoreKey(spec_off),
+            GenerationService::TtStoreKey(spec_on));
+}
+
 // ------------------------------------------------------------ ApiService
 
 ApiService::Options SmallServiceOptions() {

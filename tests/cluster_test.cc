@@ -226,14 +226,17 @@ class ClusterTest : public ::testing::Test {
   static constexpr int kWorkers = 3;
 
   /// A non-empty `experience_dir` gives every worker its own persistent
-  /// experience store file under that directory.
+  /// experience store file under that directory; `extra_args` are appended
+  /// to every worker's command line.
   void StartCluster(size_t max_inflight = 64, bool cache_peering = true,
-                    const std::string& experience_dir = "") {
+                    const std::string& experience_dir = "",
+                    const std::vector<std::string>& extra_args = {}) {
     auto self = cluster::SelfExePath();
     ASSERT_TRUE(self.ok()) << self.status().ToString();
     ClusterRouter::Options ropts;
     for (int i = 0; i < kWorkers; ++i) {
       std::vector<std::string> args = WorkerArgs();
+      args.insert(args.end(), extra_args.begin(), extra_args.end());
       if (!experience_dir.empty()) {
         args.insert(args.end(), {"--experience-dir", experience_dir,
                                  "--worker-index", std::to_string(i)});
@@ -547,6 +550,62 @@ TEST_F(ClusterTest, BoundedAdmissionAnswersResourceExhausted) {
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted)
       << r.status().ToString();
   EXPECT_TRUE(ErrorBody::FromStatus(r.status()).retryable);
+}
+
+/// A session the worker no longer holds (evicted by its TTL sweep) must not
+/// leave its route behind in the router: the first routed call answered
+/// NotFound by the worker erases it, so the next call on the id gets the
+/// router's own "unknown session id" instead of another round trip.
+TEST_F(ClusterTest, SessionRouteErasedWhenWorkerAnswersNotFound) {
+  StartCluster(/*max_inflight=*/64, /*cache_peering=*/true,
+               /*experience_dir=*/"", {"--session-ttl-ms", "200"});
+  GenerateRequest req;
+  req.workload = "flights";
+  req.options = FastGenOptions();
+  auto acc = router_.SubmitGenerate(req);
+  ASSERT_TRUE(acc.ok()) << acc.status().ToString();
+  auto done = router_.GetJob(acc->job_id, /*wait_ms=*/30000);
+  ASSERT_TRUE(done.ok()) << done.status().ToString();
+  ASSERT_EQ(done->state, "done");
+
+  SessionOpenRequest open;
+  open.job_id = acc->job_id;
+  auto closed = router_.OpenSession(open);
+  ASSERT_TRUE(closed.ok()) << closed.status().ToString();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  // Opening a second session on the same job (so the same worker) runs
+  // the worker's lazy TTL sweep, which evicts the first.
+  auto evented = router_.OpenSession(open);
+  ASSERT_TRUE(evented.ok()) << evented.status().ToString();
+
+  WidgetEventRequest e;
+  e.kind = "set_any";
+  e.choice_id = 0;
+  e.option_index = 0;
+  auto is_router_unknown = [](const Status& s) {
+    return s.code() == StatusCode::kNotFound &&
+           s.message().find("unknown session id") != std::string::npos;
+  };
+
+  // Path 1: CloseSession on an evicted session.
+  Status close = router_.CloseSession(closed->session_id);
+  EXPECT_EQ(close.code(), StatusCode::kNotFound) << close.ToString();
+  EXPECT_FALSE(is_router_unknown(close)) << "the worker must have answered";
+  auto after_close = router_.ApplyEvent(closed->session_id, e);
+  ASSERT_FALSE(after_close.ok());
+  EXPECT_TRUE(is_router_unknown(after_close.status()))
+      << after_close.status().ToString();
+
+  // Path 2: any other routed call on a session the worker evicted.
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  auto expired = router_.ApplyEvent(evented->session_id, e);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kNotFound)
+      << expired.status().ToString();
+  EXPECT_FALSE(is_router_unknown(expired.status()));
+  auto again = router_.ApplyEvent(evented->session_id, e);
+  ASSERT_FALSE(again.ok());
+  EXPECT_TRUE(is_router_unknown(again.status())) << again.status().ToString();
 }
 
 TEST_F(ClusterTest, DrainRefusesNewWorkKeepsReads) {

@@ -3,12 +3,20 @@
 // polled tables checked bit-identical against an InteractiveRuntime driven
 // in-process, plus the transport error model (ErrorBody everywhere, 429
 // backpressure) and concurrent sessions/pollers for TSan.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <condition_variable>
+#include <functional>
 #include <limits>
+#include <mutex>
 #include <thread>
 
 #include "api/api_service.h"
@@ -194,6 +202,119 @@ TEST(HttpServer, OversizedHeaderBlockAnswers431) {
   // The server must answer with a status, not silently reset the connection.
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   EXPECT_EQ(resp->status, 431);
+}
+
+/// A blocking loopback TCP connection with a 5 s receive timeout; -1 on
+/// failure. connect() returning means the handshake completed, so the
+/// connection is in the server's kernel accept queue, in call order.
+int ConnectLoopback(int port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  timeval tv{};
+  tv.tv_sec = 5;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Everything the peer sends until it closes (or the receive timeout).
+std::string ReadUntilClose(int fd) {
+  std::string out;
+  char buf[4096];
+  while (true) {
+    ssize_t n = ::recv(fd, buf, sizeof buf, 0);
+    if (n <= 0) break;
+    out.append(buf, static_cast<size_t>(n));
+  }
+  return out;
+}
+
+TEST(HttpServer, FullAcceptQueueAnswers503) {
+  // One worker parked in the handler on A, a queue of one holding B: the
+  // third connection C must be turned away at accept time with a
+  // retryable 503, without touching the worker pool.
+  std::mutex mu;
+  std::condition_variable cv;
+  int holding = 0;
+  bool released = false;
+  http::HttpServer server;
+  http::HttpServer::Options opts;
+  opts.port = 0;
+  opts.num_threads = 1;
+  opts.max_queued_connections = 1;
+  ASSERT_TRUE(server
+                  .Start(opts,
+                         [&](const http::HttpRequest&) {
+                           std::unique_lock<std::mutex> lock(mu);
+                           ++holding;
+                           cv.notify_all();
+                           cv.wait(lock, [&] { return released; });
+                           http::HttpResponse r;
+                           r.body = "{}";
+                           return r;
+                         })
+                  .ok());
+  auto release = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  };
+
+  std::thread a([&] { (void)http::Get(kHost, server.port(), "/a"); });
+  // A failed assertion below returns early: unpark the handler and join A
+  // on the way out, or Stop() would wait on the parked worker forever.
+  struct Unpark {
+    std::function<void()> fn;
+    ~Unpark() { fn(); }
+  } unpark{[&] {
+    release();
+    if (a.joinable()) a.join();
+  }};
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return holding == 1; }))
+        << "handler never received A";
+  }
+  const int b = ConnectLoopback(server.port());
+  ASSERT_GE(b, 0);
+  const std::string get_b = "GET /b HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n";
+  ASSERT_EQ(::send(b, get_b.data(), get_b.size(), 0),
+            static_cast<ssize_t>(get_b.size()));
+  const int c = ConnectLoopback(server.port());
+  ASSERT_GE(c, 0);
+  const std::string rejected = ReadUntilClose(c);
+  ::close(c);
+
+  release();
+  a.join();
+  const std::string served_b = ReadUntilClose(b);
+  ::close(b);
+
+  EXPECT_EQ(rejected.rfind("HTTP/1.1 503 ", 0), 0u) << rejected;
+  EXPECT_NE(rejected.find("Retry-After: 1\r\n"), std::string::npos) << rejected;
+  const size_t body_at = rejected.find("\r\n\r\n");
+  ASSERT_NE(body_at, std::string::npos) << rejected;
+  auto body = ParseJson(rejected.substr(body_at + 4));
+  ASSERT_TRUE(body.ok()) << rejected;
+  auto error = api::ErrorBody::FromJson(*body);
+  ASSERT_TRUE(error.ok()) << error.status().ToString();
+  EXPECT_EQ(error->code, "Unavailable");
+  EXPECT_TRUE(error->retryable);
+  EXPECT_EQ(served_b.rfind("HTTP/1.1 200 ", 0), 0u) << served_b;
+
+  // The server recovers: with the worker free, a new request is served.
+  auto after = http::Get(kHost, server.port(), "/after");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->status, 200);
+  server.Stop();
 }
 
 TEST_F(HttpTest, BackpressureReturns429) {
@@ -460,7 +581,7 @@ TEST_F(HttpTest, SseStreamsEventBatches) {
 }
 
 /// Pins the feed-loop fix: an idle SSE stream parks on the runtime's
-/// version condvar in `feed_wait_slice_ms` blocks instead of busy-polling.
+/// version condvar in 500 ms slices instead of busy-polling.
 /// Before the fix the loop slept 15 ms per iteration — an idle 2 s stream
 /// burned ~130 wakeups; now it wakes ~2x/s just to notice a dead socket.
 TEST_F(HttpTest, IdleSseFeedDoesNotBusyPoll) {

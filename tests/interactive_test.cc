@@ -322,53 +322,6 @@ TEST(InteractiveDifferential, RandomWalksBitIdenticalAcrossBackends) {
   EXPECT_GT(delta_execs_by_kind[BackendKind::kColumnar], 0u);
 }
 
-TEST(InteractiveDifferential, DeltaOffIsIdenticalAndFullyExecutes) {
-  auto w = LoadWorkload("flights", 250);
-  ASSERT_TRUE(w.ok());
-  GeneratedInterface iface = MakeInterface(w->log);
-  auto queries = ParseQueries(w->log);
-  ASSERT_TRUE(queries.ok());
-  auto backend = CreateBackend(BackendKind::kColumnar, &w->db);
-  ASSERT_TRUE(backend.ok());
-  std::shared_ptr<ExecutionBackend> shared(std::move(*backend));
-
-  InteractiveRuntime::Options on;
-  InteractiveRuntime::Options off;
-  off.enable_delta = false;
-  auto rt_on =
-      InteractiveRuntime::Create(iface, GeneratorOptions().constants, shared, on);
-  auto rt_off =
-      InteractiveRuntime::Create(iface, GeneratorOptions().constants, shared, off);
-  ASSERT_TRUE(rt_on.ok() && rt_off.ok());
-
-  Rng rng(424242);
-  std::vector<WalkAction> walk =
-      MakeWalk((*rt_on)->session().difftree(), queries->size(), &rng, 400);
-  size_t agreed = 0;
-  for (const WalkAction& a : walk) {
-    auto r1 = ApplyAction(rt_on->get(), *queries, a);
-    auto r2 = ApplyAction(rt_off->get(), *queries, a);
-    ASSERT_EQ(r1.ok(), r2.ok()) << "delta on/off diverged on step validity";
-    if (!r1.ok()) continue;
-    auto t1 = (*rt_on)->CurrentResult();
-    auto t2 = (*rt_off)->CurrentResult();
-    ASSERT_TRUE(t1.ok() && t2.ok());
-    ASSERT_TRUE(TablesIdentical(*t1, *t2))
-        << "step transition " << TransitionClassName(r1->transition);
-    // Both arms classify identically; only maintenance differs.
-    EXPECT_EQ(r1->transition, r2->transition);
-    ++agreed;
-  }
-  ASSERT_GT(agreed, 100u);
-  auto on_counters = (*rt_on)->counters();
-  auto off_counters = (*rt_off)->counters();
-  EXPECT_EQ(off_counters.full_execs, off_counters.steps);
-  EXPECT_LT(on_counters.full_execs, on_counters.steps);
-  EXPECT_GT(on_counters.cache_hits + on_counters.noops + on_counters.delta_execs +
-                on_counters.retruncates,
-            0u);
-}
-
 // ---------------------------------------------------------------------------
 // Change feed: applying a poll's diffs to the previously delivered table
 // reproduces the current table (as a multiset).

@@ -168,10 +168,48 @@ TEST(PriorGuidedMcts, SharedModelAcrossRootParallelTrees) {
   EXPECT_EQ(r->stats.trees, 3u);
 }
 
-/// The delta-cost contract: with the caches on, every sampled cost is
-/// bit-identical to a full re-evaluation — across the initial state and
-/// every state one rule application away (which collectively exercises
-/// every rule type applicable to the log's difftree).
+/// Field-by-field equality of two assigners' decision vectors (built over
+/// the same tree, so node pointers compare directly).
+void ExpectSameDecisions(const WidgetAssigner& got, const WidgetAssigner& want,
+                         size_t state) {
+  ASSERT_EQ(got.viable(), want.viable()) << "state " << state;
+  ASSERT_EQ(got.decisions().size(), want.decisions().size()) << "state " << state;
+  for (size_t d = 0; d < got.decisions().size(); ++d) {
+    const DecisionPoint& g = got.decisions()[d];
+    const DecisionPoint& w = want.decisions()[d];
+    EXPECT_EQ(g.type, w.type) << "state " << state << " decision " << d;
+    EXPECT_EQ(g.node, w.node) << "state " << state << " decision " << d;
+    EXPECT_EQ(g.options, w.options) << "state " << state << " decision " << d;
+    EXPECT_EQ(g.min_m_pick, w.min_m_pick) << "state " << state << " decision " << d;
+    const WidgetDomain& gd = g.domain;
+    const WidgetDomain& wd = w.domain;
+    EXPECT_EQ(gd.node_kind, wd.node_kind);
+    EXPECT_EQ(gd.labels, wd.labels) << "state " << state << " decision " << d;
+    EXPECT_EQ(gd.cardinality, wd.cardinality);
+    EXPECT_EQ(gd.all_leaf_literals, wd.all_leaf_literals);
+    EXPECT_EQ(gd.all_numeric, wd.all_numeric);
+    EXPECT_EQ(gd.has_nested_choices, wd.has_nested_choices);
+    EXPECT_EQ(gd.num_lo, wd.num_lo);
+    EXPECT_EQ(gd.num_hi, wd.num_hi);
+    EXPECT_EQ(gd.max_label_len, wd.max_label_len);
+    EXPECT_EQ(gd.avg_subtree_nodes, wd.avg_subtree_nodes);
+  }
+}
+
+void ExpectSamePlan(const TransitionPlan& got, const TransitionPlan& want,
+                    size_t state) {
+  EXPECT_EQ(got.valid, want.valid) << "state " << state;
+  EXPECT_EQ(got.invalid_reason, want.invalid_reason) << "state " << state;
+  EXPECT_EQ(got.changed_ids, want.changed_ids) << "state " << state;
+}
+
+/// The delta-cost contract: an evaluator whose caches are warm from every
+/// earlier state produces, for each state, exactly what a from-scratch
+/// evaluation does — the same sampled cost as a fresh evaluator with cold
+/// caches, the same widget decisions as an uncached WidgetAssigner, and the
+/// same transition plan as PlanTransitions — across the initial state and
+/// the states one and two rule applications away (which collectively
+/// exercise every rule type applicable to the log's difftree).
 TEST(DeltaCost, BitIdenticalToFullReevaluationAcrossAllRules) {
   auto queries = SmallLog();
   RuleEngine rules;
@@ -191,55 +229,80 @@ TEST(DeltaCost, BitIdenticalToFullReevaluationAcrossAllRules) {
     if (states.size() >= 120) break;
   }
 
-  EvalOptions delta_on;
-  delta_on.screen = {80, 24};
-  delta_on.delta_eval = true;
-  delta_on.cache_enabled = false;  // isolate the delta layer from the state memo
-  EvalOptions delta_off = delta_on;
-  delta_off.delta_eval = false;
-  StateEvaluator with_delta(delta_on, queries);
-  StateEvaluator full(delta_off, queries);
+  EvalOptions opts;
+  opts.screen = {80, 24};
+  opts.cache_enabled = false;  // isolate the delta layer from the state memo
+  EvalOptions warm_opts = opts;
+  warm_opts.shared_delta = std::make_shared<DeltaCostCache>();
+  DeltaCostCache& warm_cache = *warm_opts.shared_delta;
+  StateEvaluator warm(warm_opts, queries);
 
+  // The probes below read the warm cache too, so the warm counters are
+  // summed over the SampleCost calls alone.
+  size_t warm_subtree_hits = 0;
+  size_t warm_subtree_recomputes = 0;
+  size_t cold_subtree_recomputes = 0;
   for (size_t i = 0; i < states.size(); ++i) {
+    StateEvaluator cold(opts, queries);
     Rng rng_a(1000 + i);
     Rng rng_b(1000 + i);
-    double a = with_delta.SampleCost(states[i], &rng_a);
-    double b = full.SampleCost(states[i], &rng_b);
+    const size_t hits_before = warm.subtree_cache_hits();
+    const size_t recomputes_before = warm.subtree_recomputes();
+    double a = warm.SampleCost(states[i], &rng_a);
+    warm_subtree_hits += warm.subtree_cache_hits() - hits_before;
+    warm_subtree_recomputes += warm.subtree_recomputes() - recomputes_before;
+    double b = cold.SampleCost(states[i], &rng_b);
     EXPECT_EQ(a, b) << "state " << i << " diverged";  // bit-identical
+    cold_subtree_recomputes += cold.subtree_recomputes();
+
+    ExpectSameDecisions(WidgetAssigner(states[i], opts.constants, &warm_cache),
+                        WidgetAssigner(states[i], opts.constants), i);
+    if (auto cached = warm_cache.LookupPlan(states[i].Hash())) {
+      ExpectSamePlan(*cached, PlanTransitions(states[i], queries, opts.parse_limit),
+                     i);
+    }
   }
 
-  // The ablation's point: same costs, far fewer subtree recomputes.
-  EXPECT_EQ(full.subtree_cache_hits(), 0u);
-  EXPECT_GT(with_delta.subtree_cache_hits(), 0u);
-  EXPECT_LT(with_delta.subtree_recomputes(), full.subtree_recomputes());
+  // The point of the caches: same costs, far fewer subtree recomputes.
+  EXPECT_GT(warm_subtree_hits, 0u);
+  EXPECT_LT(warm_subtree_recomputes, cold_subtree_recomputes);
 }
 
 TEST(DeltaCost, FindBestMatchesAndReusesThePlan) {
   auto queries = SmallLog();
   DiffTree initial = *BuildInitialTree(queries);
 
-  EvalOptions delta_on;
-  delta_on.screen = {80, 24};
-  EvalOptions delta_off = delta_on;
-  delta_off.delta_eval = false;
-  StateEvaluator with_delta(delta_on, queries);
-  StateEvaluator full(delta_off, queries);
+  EvalOptions opts;
+  opts.screen = {80, 24};
+  EvalOptions warm_opts = opts;
+  warm_opts.shared_delta = std::make_shared<DeltaCostCache>();
+  DeltaCostCache& warm_cache = *warm_opts.shared_delta;
+  StateEvaluator warm(warm_opts, queries);
 
   Rng rng_s1(7);
   Rng rng_s2(7);
-  EXPECT_EQ(with_delta.SampleCost(initial, &rng_s1),
-            full.SampleCost(initial, &rng_s2));
+  StateEvaluator cold_sample(opts, queries);
+  EXPECT_EQ(warm.SampleCost(initial, &rng_s1),
+            cold_sample.SampleCost(initial, &rng_s2));
+  EXPECT_EQ(warm.plan_cache_hits(), 0u);
 
   Rng rng_a(7);
   Rng rng_b(7);
-  auto a = with_delta.FindBest(initial, &rng_a);
-  auto b = full.FindBest(initial, &rng_b);
+  StateEvaluator cold_find(opts, queries);
+  auto a = warm.FindBest(initial, &rng_a);
+  auto b = cold_find.FindBest(initial, &rng_b);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->cost.total(), b->cost.total());
   // SampleCost computed the plan; FindBest on the same state reuses it.
-  EXPECT_GT(with_delta.plan_cache_hits(), 0u);
-  EXPECT_EQ(full.plan_cache_hits(), 0u);
+  EXPECT_GT(warm.plan_cache_hits(), 0u);
+  EXPECT_EQ(cold_find.plan_cache_hits(), 0u);
+
+  ExpectSameDecisions(WidgetAssigner(initial, opts.constants, &warm_cache),
+                      WidgetAssigner(initial, opts.constants), 0);
+  auto cached = warm_cache.LookupPlan(initial.Hash());
+  ASSERT_NE(cached, nullptr);
+  ExpectSamePlan(*cached, PlanTransitions(initial, queries, opts.parse_limit), 0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "runtime/service.h"
 #include "runtime/thread_pool.h"
 #include "runtime/tt.h"
+#include "workload/flights.h"
 
 namespace ifgen {
 namespace {
@@ -235,6 +236,18 @@ TEST(GenerationService, JobKeySeparatesBackends) {
   JobSpec b = SmallJob(1);
   b.options.backend = BackendKind::kReference;
   EXPECT_NE(GenerationService::JobKey(a), GenerationService::JobKey(b));
+}
+
+TEST(GenerationService, TtStoreKeyPinnedForPersistedExperience) {
+  // Persisted experience files (.exp) are keyed by TtStoreKey, so a change
+  // to its value silently turns every existing file cold. These literals
+  // pin the key for the flights log with default options, and with
+  // experience on (the spec that actually writes and reads the files).
+  JobSpec plain{FlightsLog(), GeneratorOptions{}};
+  EXPECT_EQ(GenerationService::TtStoreKey(plain), 0xc9c0fb3bd753a908ULL);
+  JobSpec learning = plain;
+  learning.options.experience = true;
+  EXPECT_EQ(GenerationService::TtStoreKey(learning), 0x3280506a76e85376ULL);
 }
 
 // ----------------------------------------------------- tracked job protocol

@@ -211,29 +211,6 @@ TEST(GenerateInterface, RejectsEmptyLog) {
   EXPECT_FALSE(GenerateInterface({}, {}).ok());
 }
 
-TEST(GenerateInterface, DeltaCostAblationIsBitIdenticalEndToEnd) {
-  // The delta-cost ablation guard: forcing full re-evaluation must change
-  // nothing about the search (costs are bit-identical, so every decision
-  // built on them is too) — only the recompute counters move.
-  std::vector<std::string> sqls = {
-      "select Sales from sales where cty = 'USA'",
-      "select Costs from sales where cty = 'EUR'", "select Costs from sales"};
-  GeneratorOptions opt;
-  opt.screen = {80, 24};
-  opt.search.time_budget_ms = 0;
-  opt.search.max_iterations = 25;
-  opt.delta_cost_eval = true;
-  auto with_delta = GenerateInterface(sqls, opt);
-  opt.delta_cost_eval = false;
-  auto full = GenerateInterface(sqls, opt);
-  ASSERT_TRUE(with_delta.ok());
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(with_delta->cost.total(), full->cost.total());
-  EXPECT_EQ(with_delta->difftree, full->difftree);
-  EXPECT_EQ(with_delta->cost.m_total, full->cost.m_total);
-  EXPECT_EQ(with_delta->cost.u_total, full->cost.u_total);
-}
-
 TEST(GenerateInterface, PriorAblationFlagsSelectTheUniformSearch) {
   // Both the prior-guided default and the paper's uniform ablation must
   // produce valid interfaces over the same log (costs may differ — that
