@@ -5,7 +5,8 @@ Starts ./serve_cluster with 3 worker processes, then drives the failure
 model the cluster exists for, with the Python stdlib only:
 
     healthz -> /v1/cluster (3 healthy workers) -> POST /v1/generate ->
-    poll job -> session + widget event -> SIGKILL one worker ->
+    poll job -> session + widget event -> exact repeat answered from the
+    result cache -> SIGKILL one worker ->
     /v1/cluster converges to 2 healthy -> new jobs still succeed
     (rerouted) -> aggregated /v1/stats -> SIGTERM -> clean exit.
 
@@ -129,33 +130,12 @@ def main():
         step = call("POST", f"/v1/sessions/{sid}/events", event)
         print(f"session {sid}: event -> {step['report']['transition']}")
 
-        # Cache peering: a same-schema storm (same workload + seed,
-        # different budgets -> one shared transposition store) with
-        # cache_peering on; the router's gossip rounds must publish TT
-        # batches to the workers (observable via /v1/stats).
-        for budget in (25, 18, 31):
-            accepted = call("POST", "/v1/generate", {
-                "workload": "flights",
-                "options": {"time_budget_ms": 0, "max_iterations": budget,
-                            "seed": 7, "screen_width": 90,
-                            "screen_height": 32, "cache_peering": True},
-            })
-            peer_job = call(
-                "GET", f"/v1/jobs/{accepted['job_id']}?wait_ms=60000")
-            if peer_job["state"] != "done":
-                fail(f"peering job state {peer_job['state']}")
-        deadline = time.time() + 30
-        published = 0
-        while time.time() < deadline:
-            stats = call("GET", "/v1/stats")
-            published = sum(w.get("tt_published", 0)
-                            for w in stats["cluster"]["workers"])
-            if published > 0:
-                break
-            time.sleep(0.5)
-        if published == 0:
-            fail("router never published TT gossip batches to the workers")
-        print(f"cache peering: router published {published} TT entries")
+        # Result cache: an exact repeat of the first job is answered from
+        # a worker's result cache (the router probes before placing it).
+        repeat = submit_and_finish(seed=7)
+        if repeat.get("cache_hit") is not True:
+            fail(f"exact repeat was recomputed: cache_hit={repeat.get('cache_hit')}")
+        print(f"repeat job {repeat['job_id']}: cache_hit=True")
 
         # Kill one worker process outright; the router must notice and the
         # cluster keeps serving from the survivors.

@@ -520,12 +520,9 @@ Result<TableDto> ApiService::SessionTable(const std::string& session_id) {
 
 Status ApiService::CloseSession(const std::string& session_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(session_id);
-  if (it == sessions_.end()) {
-    return Status::NotFound("unknown session '" + session_id + "'");
-  }
-  FoldCounters(it->second.runtime->counters(), &retired_counters_);
-  sessions_.erase(it);
+  IFGEN_ASSIGN_OR_RETURN(SessionEntry * entry, TouchSessionLocked(session_id));
+  FoldCounters(entry->runtime->counters(), &retired_counters_);
+  sessions_.erase(session_id);
   SessionsActiveMetric().Set(static_cast<double>(sessions_.size()));
   return Status::OK();
 }

@@ -304,7 +304,6 @@ Result<GeneratorOptions> ApiOptions::ToGeneratorOptions() const {
   o.search.time_control.plateau_fraction = plateau_fraction;
   o.parallel.num_threads = static_cast<size_t>(num_threads);
   o.k_assignments = static_cast<size_t>(k_assignments);
-  o.cache_peering = cache_peering;
   o.experience = experience;
   return o;
 }
@@ -322,7 +321,6 @@ ApiOptions ApiOptions::FromGeneratorOptions(const GeneratorOptions& o) {
   a.k_assignments = static_cast<int64_t>(o.k_assignments);
   a.use_priors = o.search.priors.use_priors;
   a.progressive_widening = o.search.priors.progressive_widening;
-  a.cache_peering = o.cache_peering;
   a.experience = o.experience;
   a.deadline_ms = o.search.time_control.deadline_ms;
   a.target_cost = o.search.time_control.target_cost;
@@ -686,10 +684,7 @@ IFGEN_WIRE_FIELDS(WorkerStatsDto, "WorkerStatsDto",
                   Field<&WorkerStatsDto::reconnects>("reconnects"),
                   Field<&WorkerStatsDto::cache_probes>("cache_probes"),
                   Field<&WorkerStatsDto::cache_probe_hits>("cache_probe_hits"),
-                  Field<&WorkerStatsDto::tt_peer_ingested>("tt_peer_ingested"),
-                  Field<&WorkerStatsDto::tt_peer_hits>("tt_peer_hits"),
-                  Field<&WorkerStatsDto::result_peer_hits>("result_peer_hits"),
-                  Field<&WorkerStatsDto::tt_published>("tt_published"))
+                  Field<&WorkerStatsDto::result_peer_hits>("result_peer_hits"))
 IFGEN_WIRE_CODEC(WorkerStatsDto)
 
 IFGEN_WIRE_FIELDS(ClusterResponse, "ClusterResponse",

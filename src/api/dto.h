@@ -131,16 +131,14 @@ struct ApiOptions {
   /// v1 compatibility: accepted and ignored. Delta-cost evaluation is
   /// always on and never changed a result; FromGeneratorOptions emits true.
   bool delta_cost_eval = true;
-  /// Cluster cache peering (GeneratorOptions::cache_peering): the job's
-  /// transposition entries may warm-start from / export to sibling workers,
-  /// and cost sampling becomes state-keyed so peering preserves
-  /// bit-identity. Default off: a single-process request is unchanged.
+  /// v1 compatibility: accepted and ignored (searches share no costs
+  /// across workers); FromGeneratorOptions emits false.
   bool cache_peering = false;
   /// Persistent experience (GeneratorOptions::experience): the job may
   /// warm-start from the service's on-disk experience store and records its
   /// discoveries back (src/learn/). Switches cost sampling to the
-  /// state-keyed mode exactly like `cache_peering`. Default off: a request
-  /// without the flag is unchanged.
+  /// state-keyed mode. Default off: a request without the flag is
+  /// unchanged.
   bool experience = false;
   /// Anytime time control (search/timeman.h). deadline_ms: wall-clock
   /// deadline for the whole call, 0 = off; target_cost: stop once the best
@@ -470,14 +468,11 @@ struct WorkerStatsDto {
   int64_t rpcs = 0;          ///< RPCs the router sent this worker
   int64_t rpc_failures = 0;  ///< transport-level failures (marks unhealthy)
   int64_t reconnects = 0;    ///< successful health-probe recoveries
-  // Cache peering (docs/cluster.md). Worker-reported:
+  // Result-cache probing (docs/cluster.md). Worker-reported:
   int64_t cache_probes = 0;      ///< cache.probe lookups answered
   int64_t cache_probe_hits = 0;  ///< ...that found a completed identical job
-  int64_t tt_peer_ingested = 0;  ///< gossiped TT entries merged (first write)
-  int64_t tt_peer_hits = 0;      ///< searches' lookups served by peer entries
   // Router-observed:
   int64_t result_peer_hits = 0;  ///< submits routed here by a sibling probe hit
-  int64_t tt_published = 0;      ///< TT entries the router pushed to this worker
 
   JsonValue ToJson() const;
   static Result<WorkerStatsDto> FromJson(const JsonValue& v);

@@ -5,74 +5,6 @@
 namespace ifgen {
 namespace api {
 
-JsonValue Codec<uint64_t>::Encode(uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return JsonValue::Str(std::move(out));
-}
-
-namespace {
-
-Result<uint64_t> HexToU64(const std::string& s, const std::string& path) {
-  if (s.empty() || s.size() > 16) {
-    return Status::Invalid(path + ": bad hex '" + s + "'");
-  }
-  uint64_t v = 0;
-  for (char c : s) {
-    uint64_t digit;
-    if (c >= '0' && c <= '9') {
-      digit = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      digit = static_cast<uint64_t>(c - 'a') + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      digit = static_cast<uint64_t>(c - 'A') + 10;
-    } else {
-      return Status::Invalid(path + ": bad hex '" + s + "'");
-    }
-    v = (v << 4) | digit;
-  }
-  return v;
-}
-
-}  // namespace
-
-Status Codec<uint64_t>::Decode(const JsonValue& j, const std::string& path,
-                               uint64_t* out) {
-  if (!j.is_string()) return Status::Invalid(path + ": must be a hex string");
-  IFGEN_ASSIGN_OR_RETURN(*out, HexToU64(j.AsString(), path));
-  return Status::OK();
-}
-
-/// One transposition entry on the wire: {"h": hex hash, "c": cost,
-/// "v": visits}. TtSeedEntry lives in search/, so its codec lives here.
-template <>
-struct Codec<TtSeedEntry> : NestedCodec {
-  static JsonValue Encode(const TtSeedEntry& e) {
-    JsonValue v = JsonValue::Object();
-    v.Set("h", Codec<uint64_t>::Encode(e.canonical));
-    v.Set("c", JsonValue::Double(e.cost));
-    v.Set("v", JsonValue::Int(static_cast<int64_t>(e.visits)));
-    return v;
-  }
-  static Status Decode(const JsonValue& j, const std::string& path,
-                       TtSeedEntry* out) {
-    std::string hex;
-    int64_t visits = 0;
-    ObjectReader r(j, path);
-    r.String("h", &hex, /*required=*/true);
-    r.Double("c", &out->cost, /*required=*/true);
-    r.Int("v", &visits, /*required=*/false, 0);
-    IFGEN_RETURN_NOT_OK(r.Finish());
-    out->visits = static_cast<uint64_t>(visits);
-    IFGEN_ASSIGN_OR_RETURN(out->canonical, HexToU64(hex, path + ".h"));
-    return Status::OK();
-  }
-};
-
 IFGEN_WIRE_FIELDS(RpcEnvelope, "RpcEnvelope",
                   Field<&RpcEnvelope::api_version>("api_version").Required(),
                   Field<&RpcEnvelope::method>("method").Required(),
@@ -176,33 +108,12 @@ IFGEN_WIRE_FIELDS(WorkerPingResponse, "WorkerPingResponse",
                   Field<&WorkerPingResponse::cache_probes>("cache_probes")
                       .AtLeast(0),
                   Field<&WorkerPingResponse::cache_probe_hits>("cache_probe_hits")
-                      .AtLeast(0),
-                  Field<&WorkerPingResponse::tt_peer_ingested>("tt_peer_ingested")
-                      .AtLeast(0),
-                  Field<&WorkerPingResponse::tt_peer_hits>("tt_peer_hits")
                       .AtLeast(0))
 IFGEN_WIRE_CODEC(WorkerPingResponse)
 
 IFGEN_WIRE_FIELDS(CacheProbeResponse, "CacheProbeResponse",
                   Field<&CacheProbeResponse::hit>("hit").Required())
 IFGEN_WIRE_CODEC(CacheProbeResponse)
-
-IFGEN_WIRE_FIELDS(TtExportRequest, "TtExportRequest",
-                  Field<&TtExportRequest::max_entries>("max_entries").AtLeast(256))
-IFGEN_WIRE_CODEC(TtExportRequest)
-
-IFGEN_WIRE_FIELDS(TtBatchDto, "TtBatchDto",
-                  Field<&TtBatchDto::store_key>("store_key").Required(),
-                  Field<&TtBatchDto::entries>("entries").Required())
-IFGEN_WIRE_CODEC(TtBatchDto)
-
-IFGEN_WIRE_FIELDS(TtSyncDto, "TtSyncDto",
-                  Field<&TtSyncDto::batches>("batches").Required())
-IFGEN_WIRE_CODEC(TtSyncDto)
-
-IFGEN_WIRE_FIELDS(TtSyncAck, "TtSyncAck",
-                  Field<&TtSyncAck::ingested>("ingested").AtLeast(0))
-IFGEN_WIRE_CODEC(TtSyncAck)
 
 IFGEN_WIRE_FIELDS(TextReply, "TextReply", Field<&TextReply::text>("text"))
 IFGEN_WIRE_CODEC(TextReply)

@@ -191,15 +191,6 @@ struct Codec<std::vector<Value>> : NestedCodec {
                        std::vector<Value>* out);
 };
 
-/// A full-width uint64 (hash or store key) as a 16-digit lowercase hex
-/// string: the strict Int codec is int64 and these use all 64 bits.
-template <>
-struct Codec<uint64_t> : NestedCodec {
-  static JsonValue Encode(uint64_t v);
-  static Status Decode(const JsonValue& j, const std::string& path,
-                       uint64_t* out);
-};
-
 // ---------------------------------------------------------------------------
 // Walking a table.
 

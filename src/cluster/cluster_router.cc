@@ -250,55 +250,6 @@ void ClusterRouter::HealthLoop() {
         w->draining = parsed->draining;
       }
     }
-    if (opts_.cache_peering) GossipTt();
-  }
-}
-
-void ClusterRouter::GossipTt() {
-  // Pull phase: each healthy worker's locally discovered hot transposition
-  // entries (workers never re-export what they ingested from peers, so a
-  // batch seen here is first-hand and gossip cannot echo).
-  struct Pulled {
-    size_t source;
-    api::TtSyncDto sync;
-  };
-  std::vector<Pulled> pulled;
-  api::TtExportRequest exp;
-  exp.max_entries = 256;  // per store, per worker, per gossip round
-  for (auto& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      if (!w->healthy) continue;
-    }
-    auto r = Rpc(w.get(), api::kMethodCacheExport, exp.ToJson());
-    if (!r.ok()) continue;
-    auto sync = api::TtSyncDto::FromJson(*r);
-    if (!sync.ok() || sync->batches.empty()) continue;
-    pulled.push_back(Pulled{w->index, std::move(*sync)});
-  }
-  if (pulled.empty()) return;
-  // Push phase: every worker receives everyone ELSE's batches. Workers
-  // merge first-writer-wins per canonical hash, so re-publishing the same
-  // entry on later rounds is an idempotent no-op.
-  for (auto& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      if (!w->healthy) continue;
-    }
-    api::TtSyncDto out;
-    int64_t entries = 0;
-    for (const Pulled& p : pulled) {
-      if (p.source == w->index) continue;
-      for (const api::TtBatchDto& b : p.sync.batches) {
-        entries += static_cast<int64_t>(b.entries.size());
-        out.batches.push_back(b);
-      }
-    }
-    if (out.batches.empty()) continue;
-    auto r = Rpc(w.get(), api::kMethodCachePublish, out.ToJson());
-    if (!r.ok()) continue;
-    std::lock_guard<std::mutex> lock(w->mu);
-    w->tt_published += entries;
   }
 }
 
@@ -405,17 +356,15 @@ Result<api::GenerateAccepted> ClusterRouter::SubmitGenerate(
   const JsonValue req_json = req.ToJson();
   const uint64_t key = HashBytes(WriteJson(req_json));
   Status last = Status::Unavailable("no healthy workers");
-  // Cache peering: when a sibling (not the placement worker) already holds
-  // the completed identical job, route there once — the submit becomes that
-  // worker's local result-cache hit, bit-identical to the co-located path.
-  // Probe failures or a vanished cache entry fall through to normal ring
-  // placement; peer_hint is consumed on the first attempt only.
+  // Result-cache probing: when a sibling (not the placement worker) already
+  // holds the completed identical job, route there once — the submit
+  // becomes that worker's local result-cache hit, bit-identical to the
+  // co-located path. Probe failures or a vanished cache entry fall through
+  // to normal ring placement; peer_hint is consumed on the first attempt
+  // only.
   size_t peer_hint = SIZE_MAX;
-  if (opts_.cache_peering) {
-    WorkerState* placement = PickWorker(key, /*skip=*/SIZE_MAX);
-    if (placement != nullptr) {
-      peer_hint = ProbeForCachedResult(req_json, placement);
-    }
+  if (WorkerState* placement = PickWorker(key, /*skip=*/SIZE_MAX)) {
+    peer_hint = ProbeForCachedResult(req_json, placement);
   }
   for (size_t attempt = 0; attempt < workers_.size(); ++attempt) {
     WorkerState* w = nullptr;
@@ -636,10 +585,7 @@ api::WorkerStatsDto ClusterRouter::WorkerRow(WorkerState* w) {
   row.reconnects = w->reconnects;
   row.cache_probes = w->last_ping.cache_probes;
   row.cache_probe_hits = w->last_ping.cache_probe_hits;
-  row.tt_peer_ingested = w->last_ping.tt_peer_ingested;
-  row.tt_peer_hits = w->last_ping.tt_peer_hits;
   row.result_peer_hits = w->result_peer_hits;
-  row.tt_published = w->tt_published;
   return row;
 }
 

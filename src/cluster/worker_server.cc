@@ -220,8 +220,6 @@ Result<JsonValue> WorkerServer::Call(const RpcEnvelope& env) {
     p.draining = draining();
     p.cache_probes = static_cast<int64_t>(svc.cache_probes);
     p.cache_probe_hits = static_cast<int64_t>(svc.cache_probe_hits);
-    p.tt_peer_ingested = static_cast<int64_t>(svc.tt_peer_ingested);
-    p.tt_peer_hits = static_cast<int64_t>(svc.tt_peer_hits);
     return p.ToJson();
   }
   if (m == kMethodCacheProbe) {
@@ -237,32 +235,6 @@ Result<JsonValue> WorkerServer::Call(const RpcEnvelope& env) {
     CacheProbeResponse resp;
     resp.hit = hit;
     return resp.ToJson();
-  }
-  if (m == kMethodCacheExport) {
-    IFGEN_ASSIGN_OR_RETURN(TtExportRequest q,
-                           TtExportRequest::FromJson(env.payload));
-    const size_t cap =
-        q.max_entries <= 0 ? 0 : static_cast<size_t>(q.max_entries);
-    TtSyncDto sync;
-    for (auto& batch :
-         service_->generation_service().TtExportLocal(cap)) {
-      TtBatchDto dto;
-      dto.store_key = batch.store_key;
-      dto.entries = std::move(batch.entries);
-      sync.batches.push_back(std::move(dto));
-    }
-    return sync.ToJson();
-  }
-  if (m == kMethodCachePublish) {
-    IFGEN_ASSIGN_OR_RETURN(TtSyncDto sync, TtSyncDto::FromJson(env.payload));
-    int64_t ingested = 0;
-    for (const TtBatchDto& batch : sync.batches) {
-      ingested += static_cast<int64_t>(service_->generation_service().TtIngest(
-          batch.store_key, batch.entries, /*local_origin=*/false));
-    }
-    TtSyncAck ack;
-    ack.ingested = ingested;
-    return ack.ToJson();
   }
   if (m == kMethodDrain) {
     Drain();

@@ -63,22 +63,15 @@ struct GeneratorOptions {
   size_t parse_limit = 8;
   /// Exhaustive widget enumeration cap for the final state.
   double enumeration_cap = 20000;
-  /// Cache peering (cluster ablation flag): makes this job's transposition
-  /// entries exportable to sibling workers and eligible to warm-start from
-  /// theirs. Turns on state-keyed sampling (EvalOptions) so sampled costs
-  /// are pure functions of (state, options, seed) — pre-seeded entries then
-  /// change the amount of work, never the values or the RNG streams; a
-  /// peered run is bit-identical to a cold run with the same flag. Changes
-  /// which costs the k random assignments produce vs. the default caller-
-  /// stream sampling, so it participates in cache keys and fingerprints.
-  bool cache_peering = false;
   /// Persistent-experience ablation flag (src/learn/): makes this job
   /// eligible to warm-start from the service's ExperienceStore (root-action
   /// virtual visits + transposition/delta-cache seeding) and to record its
-  /// discoveries back. Turns on state-keyed sampling exactly like
-  /// `cache_peering` — and for the same soundness reason — so it
-  /// participates in cache keys and fingerprints the same way; the runtime
-  /// store/bridge wiring does not.
+  /// discoveries back. Turns on state-keyed sampling (EvalOptions) so
+  /// sampled costs are pure functions of (state, options, seed) — seeded
+  /// entries then change the amount of work, never the values or the RNG
+  /// streams. Changes which costs the k random assignments produce vs. the
+  /// default caller-stream sampling, so it participates in cache keys and
+  /// fingerprints; the runtime store/bridge wiring does not.
   bool experience = false;
   /// Cross-job delta-cost cache shared by the service for same-cost-identity
   /// experience jobs (cost/delta.h documents why sharing is bit-safe).
@@ -92,7 +85,7 @@ struct GeneratorOptions {
     e.k_assignments = k_assignments;
     e.parse_limit = parse_limit;
     e.enumeration_cap = enumeration_cap;
-    e.state_keyed_sampling = cache_peering || experience;
+    e.state_keyed_sampling = experience;
     e.sampling_seed = search.seed;
     e.shared_delta = shared_delta_cache;
     return e;

@@ -69,13 +69,15 @@ Status InterfaceSession::SetAnyChoice(int choice_id, int option_index) {
       static_cast<size_t>(option_index) >= node->children.size()) {
     return Status::OutOfRange("bad option index");
   }
-  Derivation* active = FindActive(&current_, node);
+  Derivation next = current_;
+  Derivation* active = FindActive(&next, node);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }
   active->choice = option_index;
   active->children.assign(
       1, DefaultDerivation(node->children[static_cast<size_t>(option_index)]));
+  IFGEN_RETURN_NOT_OK(Adopt(std::move(next)));
   selections_[choice_id] = "a" + std::to_string(option_index);
   return Status::OK();
 }
@@ -87,7 +89,8 @@ Status InterfaceSession::SetOptPresent(int choice_id, bool present) {
   }
   const DiffTree* node = index_->node(static_cast<size_t>(choice_id));
   if (node->kind != DKind::kOpt) return Status::Invalid("choice is not an OPT");
-  Derivation* active = FindActive(&current_, node);
+  Derivation next = current_;
+  Derivation* active = FindActive(&next, node);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }
@@ -97,6 +100,7 @@ Status InterfaceSession::SetOptPresent(int choice_id, bool present) {
   } else {
     active->children.clear();
   }
+  IFGEN_RETURN_NOT_OK(Adopt(std::move(next)));
   selections_[choice_id] = present ? "p1" : "p0";
   return Status::OK();
 }
@@ -112,13 +116,26 @@ Status InterfaceSession::SetMultiCount(int choice_id, size_t count) {
     return Status::OutOfRange("multi count " + std::to_string(count) +
                               " exceeds maximum " + std::to_string(kMaxMultiCount));
   }
-  Derivation* active = FindActive(&current_, node);
+  Derivation next = current_;
+  Derivation* active = FindActive(&next, node);
   if (active == nullptr) {
     return Status::Invalid("widget is not active in the current query");
   }
   active->choice = static_cast<int>(count);
   active->children.assign(count, DefaultDerivation(node->children[0]));
-  selections_[choice_id] = active->Encode();
+  std::string selection = active->Encode();
+  IFGEN_RETURN_NOT_OK(Adopt(std::move(next)));
+  selections_[choice_id] = std::move(selection);
+  return Status::OK();
+}
+
+Status InterfaceSession::Adopt(Derivation next) {
+  IFGEN_ASSIGN_OR_RETURN(Ast query, MaterializeDerivation(next));
+  Result<std::string> sql = Unparse(query);
+  if (!sql.ok()) {
+    return Status::Invalid("widget event rejected: " + sql.status().message());
+  }
+  current_ = std::move(next);
   return Status::OK();
 }
 

@@ -42,7 +42,9 @@ class InterfaceSession {
   /// Replays a whole log, returning per-step efforts (first step free).
   Result<std::vector<StepReport>> ReplayLog(const std::vector<Ast>& queries);
 
-  /// Widget manipulation by choice id — the w(q,u) -> q' interface.
+  /// Widget manipulation by choice id — the w(q,u) -> q' interface. An
+  /// event whose resulting query has no SQL text (e.g. it switches off the
+  /// last projected column) answers InvalidArgument and changes nothing.
   Status SetAnyChoice(int choice_id, int option_index);
   Status SetOptPresent(int choice_id, bool present);
   Status SetMultiCount(int choice_id, size_t count);
@@ -88,6 +90,9 @@ class InterfaceSession {
   /// Finds the derivation node controlling `choice_id` in the active
   /// derivation; null when the choice is not active (hidden alternative).
   Derivation* FindActive(Derivation* d, const DiffTree* target);
+  /// Makes `next` the current derivation when its query unparses to SQL;
+  /// otherwise answers InvalidArgument and leaves the session unchanged.
+  Status Adopt(Derivation next);
 
   // The tree and index live behind stable pointers: derivations and the
   // choice index point into tree nodes, and sessions are movable values.

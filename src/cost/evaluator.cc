@@ -79,8 +79,8 @@ double StateEvaluator::SampleCost(const DiffTree& tree, Rng* rng) {
     }
   }
   // State-keyed mode draws from a per-state generator so the caller's
-  // stream is never consumed: a pre-seeded cache entry (transposition
-  // peering) then changes how much work happens, never which values the
+  // stream is never consumed: a pre-seeded cache entry (an experience
+  // seed) then changes how much work happens, never which values the
   // surrounding search observes. Caller-stream mode never builds it.
   std::optional<Rng> state_rng;
   Rng* draw_rng = rng;

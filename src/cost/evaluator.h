@@ -33,9 +33,9 @@ struct EvalOptions {
   /// local Rng seeded by (sampling_seed, canonical state hash) instead of
   /// the caller's stream. A state's sampled cost becomes a pure function of
   /// (state, options, sampling_seed) — independent of visit order and of
-  /// which caches already hold it — which is what lets transposition
-  /// peering pre-seed cost caches without perturbing the caller's RNG
-  /// stream. Enabled by GeneratorOptions::cache_peering.
+  /// which caches already hold it — which is what lets experience seeds
+  /// pre-seed cost caches without perturbing the caller's RNG stream.
+  /// Enabled by GeneratorOptions::experience.
   bool state_keyed_sampling = false;
   uint64_t sampling_seed = 0;
   /// Cross-search delta-cost cache to use instead of an evaluator-local one.

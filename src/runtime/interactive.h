@@ -76,7 +76,9 @@ class InteractiveRuntime {
   /// maintains the result.
   Result<StepReport> LoadQuery(const Ast& query);
 
-  /// Widget manipulation by choice id — the w(q, u) -> q' interface.
+  /// Widget manipulation by choice id — the w(q, u) -> q' interface. An
+  /// event the session refuses (InterfaceSession::SetAnyChoice) changes
+  /// nothing: no step, no version bump.
   Result<StepReport> SetAnyChoice(int choice_id, int option_index);
   Result<StepReport> SetOptPresent(int choice_id, bool present);
   Result<StepReport> SetMultiCount(int choice_id, size_t count);

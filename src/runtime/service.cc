@@ -23,7 +23,6 @@ struct ServiceMetrics {
   obs::Counter* sessions_opened;
   obs::Counter* cache_probes;
   obs::Counter* cache_probe_hits;
-  obs::Counter* tt_peer_ingested;
   obs::Gauge* jobs_pending;
   obs::Histogram* queued_us;
   obs::Histogram* run_us;
@@ -48,9 +47,6 @@ struct ServiceMetrics {
       s.cache_probe_hits =
           reg.GetCounter("ifgen_cache_probe_hits_total",
                          "Cluster cache.probe requests that found a cached result");
-      s.tt_peer_ingested =
-          reg.GetCounter("ifgen_tt_peer_ingested_total",
-                         "Transposition entries accepted from sibling workers");
       s.jobs_pending =
           reg.GetGauge("ifgen_jobs_pending", "Jobs admitted but not yet terminal");
       // 64us..~8.6s in x2 steps: generation runs for milliseconds to seconds.
@@ -151,11 +147,9 @@ uint64_t OptionsFingerprint(const GeneratorOptions& o) {
   h = HashU64(h, o.k_assignments);
   h = HashU64(h, o.parse_limit);
   h = HashF64(h, o.enumeration_cap);
-  // cache_peering switches cost sampling to the state-keyed mode, which
+  // experience switches cost sampling to the state-keyed mode, which
   // changes which assignments the k random draws produce — two requests
-  // differing only in this flag must not alias one cache entry.
-  h = HashU64(h, o.cache_peering ? 1 : 0);
-  // experience switches sampling mode exactly like cache_peering (the store
+  // differing only in this flag must not alias one cache entry (the store
   // bridge itself is runtime wiring and stays out of every key).
   h = HashU64(h, o.experience ? 1 : 0);
   return h;
@@ -232,7 +226,9 @@ uint64_t GenerationService::TtStoreKey(const JobSpec& spec) {
   // its old value keeps persisted experience files, keyed by this value,
   // warm-starting (pinned by runtime_test).
   h = HashU64(h, 1);
-  h = HashU64(h, o.cache_peering ? 1 : 0);
+  // The slot of the retired cache-peering flag: hashing its default, 0,
+  // keeps the keys of experience files written without it.
+  h = HashU64(h, 0);
   h = HashU64(h, o.experience ? 1 : 0);
   h = HashU64(h, o.search.seed);
   for (const std::string& sql : CanonicalSqls(spec.sqls)) {
@@ -326,75 +322,6 @@ bool GenerationService::CachePeek(uint64_t key) const {
     ServiceMetrics::Get().cache_probe_hits->Inc();
   }
   return hit;
-}
-
-size_t GenerationService::TtIngest(uint64_t store_key,
-                                   const std::vector<TtSeedEntry>& entries,
-                                   bool local_origin) {
-  // Peer stores kept (one per TtStoreKey cost identity; the oldest is
-  // dropped beyond the cap) and entries retained per store (ingests beyond
-  // it are dropped: first writer wins, so the earliest discoveries stay).
-  constexpr size_t kTtPeerStoreCapacity = 32;
-  constexpr size_t kTtPeerEntriesPerStore = 4096;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = tt_peers_.find(store_key);
-  if (it == tt_peers_.end()) {
-    if (entries.empty()) return 0;  // don't spend a store slot on nothing
-    while (tt_peers_.size() >= kTtPeerStoreCapacity &&
-           !tt_peer_order_.empty()) {
-      tt_peers_.erase(tt_peer_order_.front());
-      tt_peer_order_.pop_front();
-    }
-    it = tt_peers_.emplace(store_key, TtPeerStore{}).first;
-    tt_peer_order_.push_back(store_key);
-  }
-  TtPeerStore& store = it->second;
-  size_t inserted = 0;
-  for (const TtSeedEntry& e : entries) {
-    if (store.entries.size() >= kTtPeerEntriesPerStore) break;
-    auto [slot, fresh] = store.entries.try_emplace(e.canonical);
-    if (!fresh) continue;  // first writer wins, matching the table semantics
-    slot->second.entry = e;
-    slot->second.local = local_origin;
-    ++inserted;
-  }
-  if (!local_origin && inserted > 0) {
-    tt_peer_ingested_ += inserted;
-    ServiceMetrics::Get().tt_peer_ingested->Add(inserted);
-  }
-  return inserted;
-}
-
-std::vector<GenerationService::TtExportBatch> GenerationService::TtExportLocal(
-    size_t max_entries_per_store) const {
-  std::vector<TtExportBatch> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& [store_key, store] : tt_peers_) {
-    TtExportBatch batch;
-    batch.store_key = store_key;
-    for (const auto& [canonical, pe] : store.entries) {
-      if (pe.local) batch.entries.push_back(pe.entry);
-    }
-    if (batch.entries.empty()) continue;
-    // Hottest first, deterministic ties, bounded batch.
-    std::stable_sort(batch.entries.begin(), batch.entries.end(),
-                     [](const TtSeedEntry& a, const TtSeedEntry& b) {
-                       if (a.visits != b.visits) return a.visits > b.visits;
-                       return a.canonical < b.canonical;
-                     });
-    if (batch.entries.size() > max_entries_per_store) {
-      batch.entries.resize(max_entries_per_store);
-    }
-    out.push_back(std::move(batch));
-  }
-  return out;
-}
-
-size_t GenerationService::tt_peer_entries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t total = 0;
-  for (const auto& [key, store] : tt_peers_) total += store.entries.size();
-  return total;
 }
 
 void GenerationService::CacheStore(uint64_t key,
@@ -526,32 +453,18 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     // Wired AFTER JobKey was computed, so cache keys stay value-only.
     spec.options.search.progress = progress;
     spec.options.search.stop = stop;
-    // Warm start: seed the search from the cost-identity peer store
-    // (cache_peering) and the experience store's records (experience), then
-    // harvest its discoveries into both afterwards. Runtime wiring like
-    // progress/stop — under state-keyed sampling (which either flag turns
-    // on) seeded entries change only the work done, never the values
+    // Warm start: seed the search from the experience store's records, then
+    // harvest its discoveries back afterwards. Runtime wiring like
+    // progress/stop — under state-keyed sampling (which the experience flag
+    // turns on) seeded entries change only the work done, never the values
     // produced, so the bridge stays outside every cache key.
-    const bool peering = spec.options.cache_peering;
     const bool learning = spec.options.experience && experience_ != nullptr;
     std::shared_ptr<SeedBridge> bridge;
     uint64_t store_key = 0;
-    if (peering || learning) {
+    if (learning) {
       store_key = TtStoreKey(spec);
       bridge = std::make_shared<SeedBridge>();
       spec.options.search.seed_bridge = bridge;
-    }
-    if (peering) {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto it = tt_peers_.find(store_key);
-      if (it != tt_peers_.end()) {
-        bridge->peer_seed.reserve(it->second.entries.size());
-        for (const auto& [canonical, pe] : it->second.entries) {
-          bridge->peer_seed.push_back(pe.entry);
-        }
-      }
-    }
-    if (learning) {
       // Most-visited records seeded into one search's bridge: at least one
       // search's export (the bridge's export_limit, 512, plus root records),
       // since visit ordering favors hot rollout states and a tighter limit
@@ -602,15 +515,11 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
     }();
     ServiceMetrics::Get().run_us->Observe(
         static_cast<double>(MsBetween(run_start, Clock::now()) * 1000));
-    if (peering) {
-      TtIngest(store_key, bridge->exported, /*local_origin=*/true);
-      std::lock_guard<std::mutex> lock(mu_);
-      tt_peer_hits_ += bridge->peer_hits;
-    }
     if (learning) {
-      // Harvest: every hot state the run discovered, plus one record for the
-      // root itself carrying the preferred action (the training signal the
-      // prior fitter and future warm starts consume).
+      // Harvest: the states the run sampled (up to the bridge's export
+      // limit), plus one record for the root itself carrying the preferred
+      // action (the training signal the prior fitter and future warm starts
+      // consume).
       const uint64_t epoch = experience_->epoch();
       size_t recorded = 0;
       for (const TtSeedEntry& e : bridge->exported) {
@@ -820,8 +729,6 @@ GenerationService::CountersSnapshot GenerationService::counters_snapshot() const
   s.sessions_opened = sessions_opened_;
   s.cache_probes = cache_probes_;
   s.cache_probe_hits = cache_probe_hits_;
-  s.tt_peer_ingested = tt_peer_ingested_;
-  s.tt_peer_hits = tt_peer_hits_;
   s.learn_seeded = learn_seeded_;
   s.learn_recorded = learn_recorded_;
   if (experience_ != nullptr) {

@@ -29,12 +29,6 @@ inline obs::Counter& TtCostHitsMetric() {
       "ifgen_tt_cost_hits_total", "TranspositionTable cached-cost lookups that hit");
   return *c;
 }
-inline obs::Counter& TtPeerCostHitsMetric() {
-  static obs::Counter* c = obs::MetricsRegistry::Default().GetCounter(
-      "ifgen_tt_peer_cost_hits_total",
-      "TranspositionTable cost lookups served by a peer-seeded entry");
-  return *c;
-}
 }  // namespace tt_internal
 
 /// \brief A sharded, striped-lock hash map keyed by pre-mixed 64-bit hashes
@@ -138,22 +132,17 @@ class ShardedMap {
 /// Replaces the per-searcher `unordered_set` of visited states: one table
 /// is shared by every tree of a parallel MCTS ensemble, so a state expanded
 /// by one thread is recognized as a transposition by all others, and its
-/// sampled cost is shared instead of re-evaluated.
-///
-/// Entries accumulate MCTS statistics (visits, total reward) in addition to
-/// the cached cost; root-parallel ensembles merge per-tree results through
-/// these accumulators (visit-weighted reward).
+/// sampled cost is shared instead of re-evaluated. MCTS statistics (visits,
+/// rewards) live in each tree's nodes, not here.
 class TranspositionTable {
  public:
   struct Entry {
     bool has_cost = false;
     double cost = 0.0;
-    uint64_t visits = 0;
-    double total_reward = 0.0;
-    /// Cost came from a sibling worker (SeedPeerCost), not a local sample.
-    /// Lookups that hit such entries count as peer hits, and exports skip
-    /// them so gossip never echoes a peer's entries back at the cluster.
-    bool peered = false;
+    /// Cost came from a warm-start seed (SeedCost), not a local sample;
+    /// exports skip such entries so a search only hands back what it
+    /// sampled itself.
+    bool seeded = false;
   };
 
   /// `num_shards` is rounded up to a power of two (min 1).
@@ -179,10 +168,6 @@ class TranspositionTable {
     if (!e.has_value() || !e->has_cost) return std::nullopt;
     cost_hits_.fetch_add(1, std::memory_order_relaxed);
     tt_internal::TtCostHitsMetric().Inc();
-    if (e->peered) {
-      peer_cost_hits_.fetch_add(1, std::memory_order_relaxed);
-      tt_internal::TtPeerCostHitsMetric().Inc();
-    }
     return e->cost;
   }
 
@@ -199,61 +184,41 @@ class TranspositionTable {
     });
   }
 
-  /// Pre-seeds `key` with a cost discovered by a sibling worker. First
-  /// writer wins, matching StoreCost: a locally sampled cost that landed
-  /// first stays. Only sound when costs are pure functions of the state
-  /// (EvalOptions::state_keyed_sampling with matching seed and options) —
-  /// then a seeded entry changes how much work a search does, never which
-  /// values it sees. `visits` is carried for export hotness ranking only;
-  /// MCTS statistics stay local so reward accumulators are untouched.
-  void SeedPeerCost(uint64_t key, double cost, uint64_t visits) {
-    if (!std::isfinite(cost)) return;  // JSON transport cannot carry ±inf
-    map_.Mutate(key, [cost, visits](Entry& e, bool inserted) {
+  /// Pre-seeds `key` with a cost known from an earlier search (the
+  /// experience store). First writer wins, matching StoreCost: a locally
+  /// sampled cost that landed first stays. Only sound when costs are pure
+  /// functions of the state (EvalOptions::state_keyed_sampling with
+  /// matching seed and options) — then a seeded entry changes how much work
+  /// a search does, never which values it sees.
+  void SeedCost(uint64_t key, double cost) {
+    if (!std::isfinite(cost)) return;
+    map_.Mutate(key, [cost](Entry& e, bool) {
       if (!e.has_cost) {
         e.has_cost = true;
         e.cost = cost;
-        e.peered = true;
-        if (inserted) e.visits = 0;  // hotness comes from local use, not peers
-        (void)visits;
+        e.seeded = true;
       }
       return 0;
     });
   }
 
-  /// Snapshot of up to `limit` locally discovered costs, hottest (most
-  /// visited) first — the batch a worker gossips to its siblings. Peered
-  /// and non-finite entries are skipped (no echo, no un-encodable values).
+  /// Snapshot of up to `limit` locally sampled costs, by canonical hash
+  /// ascending. Seeded and non-finite entries are skipped.
   struct ExportedCost {
     uint64_t key = 0;
     double cost = 0.0;
-    uint64_t visits = 0;
   };
   std::vector<ExportedCost> ExportHotCosts(size_t limit) const {
     std::vector<ExportedCost> out;
     map_.ForEach([&out](uint64_t key, const Entry& e) {
-      if (!e.has_cost || e.peered || !std::isfinite(e.cost)) return;
-      out.push_back({key, e.cost, e.visits});
+      if (!e.has_cost || e.seeded || !std::isfinite(e.cost)) return;
+      out.push_back({key, e.cost});
     });
-    std::stable_sort(out.begin(), out.end(),
-                     [](const ExportedCost& a, const ExportedCost& b) {
-                       if (a.visits != b.visits) return a.visits > b.visits;
-                       return a.key < b.key;  // deterministic tie-break
-                     });
+    std::sort(out.begin(), out.end(),
+              [](const ExportedCost& a, const ExportedCost& b) { return a.key < b.key; });
     if (out.size() > limit) out.resize(limit);
     return out;
   }
-
-  /// Accumulates one backpropagated reward into `key`'s statistics.
-  void AccumulateReward(uint64_t key, double reward) {
-    map_.Mutate(key, [reward](Entry& e, bool) {
-      ++e.visits;
-      e.total_reward += reward;
-      return 0;
-    });
-  }
-
-  /// Snapshot of `key`'s entry (zeroed Entry when absent).
-  Entry Get(uint64_t key) const { return map_.Lookup(key).value_or(Entry{}); }
 
   /// Total entries across shards (O(num_shards)).
   size_t size() const { return map_.size(); }
@@ -266,17 +231,10 @@ class TranspositionTable {
   /// LookupCost() calls that returned a value.
   size_t cost_hits() const { return cost_hits_.load(std::memory_order_relaxed); }
 
-  /// LookupCost() hits served by a peer-seeded entry — the work a sibling
-  /// worker's discoveries saved this search.
-  size_t peer_cost_hits() const {
-    return peer_cost_hits_.load(std::memory_order_relaxed);
-  }
-
  private:
   ShardedMap<Entry> map_;
   std::atomic<size_t> hits_{0};
   mutable std::atomic<size_t> cost_hits_{0};  ///< bumped from const LookupCost
-  mutable std::atomic<size_t> peer_cost_hits_{0};
 };
 
 }  // namespace ifgen

@@ -179,7 +179,6 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
   // start with capped virtual visits and the seed cost's reward, steering
   // early PUCT selection toward previously good actions. Pure bookkeeping —
   // no RNG draws — so an absent (or empty) seed leaves the run bit-identical.
-  // Peer entries only seed costs (SeedTranspositions), never visits.
   std::unordered_map<uint64_t, const TtSeedEntry*> exp_seed;
   if (p.seed_bridge != nullptr) {
     exp_seed.reserve(p.seed_bridge->experience_seed.size());
@@ -354,9 +353,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
 
 void SeedTranspositions(const SeedBridge* bridge, TranspositionTable* tt) {
   if (bridge == nullptr) return;
-  for (const auto* seed : {&bridge->peer_seed, &bridge->experience_seed}) {
-    for (const TtSeedEntry& e : *seed) tt->SeedPeerCost(e.canonical, e.cost, e.visits);
-  }
+  for (const TtSeedEntry& e : bridge->experience_seed) tt->SeedCost(e.canonical, e.cost);
 }
 
 void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
@@ -372,9 +369,8 @@ void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
   if (bridge == nullptr) return;
   bridge->exported.clear();
   for (const auto& ec : tt.ExportHotCosts(bridge->export_limit)) {
-    bridge->exported.push_back({ec.key, ec.cost, ec.visits});
+    bridge->exported.push_back({ec.key, ec.cost, 0});
   }
-  bridge->peer_hits += tt.peer_cost_hits();
   bridge->root_actions = *root_actions;
   bridge->root_canonical = initial.CanonicalHash();
   bridge->seeded_root_children = root_seeded;

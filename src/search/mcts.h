@@ -86,14 +86,14 @@ struct MctsTreeParams {
 /// search and root-parallel ensembles execute the *same* tree code.
 void RunMctsTree(const DiffTree& initial, const MctsTreeParams& params);
 
-/// Warm-starts `tt` from the bridge's seed entries, peer entries first, then
-/// experience entries (no-op for a null bridge).
+/// Warm-starts `tt` from the bridge's experience entries (no-op for a null
+/// bridge).
 void SeedTranspositions(const SeedBridge* bridge, TranspositionTable* tt);
 
 /// Ranks `root_actions` (mean reward desc, then visits desc, then canonical
-/// asc) and, with a bridge, publishes the run's outputs into it: the hot
-/// locally sampled costs, the seeded-hit tally, the ranked root actions,
-/// the root's canonical hash, and the `root_seeded` count.
+/// asc) and, with a bridge, publishes the run's outputs into it: the
+/// locally sampled costs, the ranked root actions, the root's canonical
+/// hash, and the `root_seeded` count.
 void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
                    size_t root_seeded, std::vector<RootActionStat>* root_actions,
                    SeedBridge* bridge);

@@ -57,8 +57,8 @@ struct PriorOptions {
   std::vector<std::pair<std::string, double>> learned_weights;
 };
 
-/// \brief One exportable transposition entry: a canonical state hash with
-/// its sampled cost and visit count. The unit of cross-worker peering.
+/// \brief One transposition entry: a canonical state hash with its sampled
+/// cost and visit count. The unit of experience seeding and harvest.
 struct TtSeedEntry {
   uint64_t canonical = 0;
   double cost = 0.0;
@@ -85,33 +85,27 @@ struct RootActionStat {
 
 /// \brief Runtime wiring that warm-starts a search from known state costs
 /// and harvests what it discovered: the one bridge between a search and the
-/// service's cluster peer store and persistent experience store
-/// (src/learn/experience.h).
+/// service's persistent experience store (src/learn/experience.h).
 ///
 /// Seeding (SeedTranspositions) merges every seed entry's cost into the
-/// transposition table — peer entries first, then experience entries,
-/// first-writer-wins — so a seeded state skips its re-evaluation. That is
-/// sound only under state-keyed sampling (GeneratorOptions::cache_peering or
-/// ::experience), where costs are pure functions of the state: seeding then
-/// changes the work done, never the values produced or the RNG streams
-/// consumed. Experience entries whose canonical hash matches a root child
-/// additionally grant that child capped virtual visits + reward, steering
-/// early PUCT selection toward previously good actions (the warm-start
-/// iteration win). Peer entries never do, so a peered run stays
-/// bit-identical to a cold run. Like `stop`/`progress`, attaching a bridge
-/// is NOT part of any cache key or fingerprint.
+/// transposition table, first-writer-wins, so a seeded state skips its
+/// re-evaluation. That is sound only under state-keyed sampling
+/// (GeneratorOptions::experience), where costs are pure functions of the
+/// state: seeding then changes the work done, never the values produced or
+/// the RNG streams consumed. Entries whose canonical hash matches a root
+/// child additionally grant that child capped virtual visits + reward,
+/// steering early PUCT selection toward previously good actions (the
+/// warm-start iteration win). Like `stop`/`progress`, attaching a bridge is
+/// NOT part of any cache key or fingerprint.
 struct SeedBridge {
-  /// In: sibling workers' transposition entries (cluster cache peering).
-  std::vector<TtSeedEntry> peer_seed;
   /// In: experience-store records for this search's cost identity, hottest
   /// first.
   std::vector<TtSeedEntry> experience_seed;
-  /// Cap on entries exported after the run (hottest by visits).
+  /// Cap on entries exported after the run.
   size_t export_limit = 512;
-  /// Out: the run's hottest locally sampled finite-cost entries.
+  /// Out: the run's locally sampled finite-cost entries, by canonical hash
+  /// ascending.
   std::vector<TtSeedEntry> exported;
-  /// Out: cost-cache hits answered by a seeded entry.
-  size_t peer_hits = 0;
   /// Out: root actions ranked by visit-weighted mean reward (merged across
   /// trees for parallel ensembles) — the "best action" training signal.
   std::vector<RootActionStat> root_actions;

@@ -169,6 +169,10 @@ Result<std::string> Unparse(const Ast& ast) {
   if (project == nullptr || from == nullptr) {
     return Status::Invalid("query lacks Project or From clause");
   }
+  // "select  from t" does not parse; refuse to emit it.
+  if (project->children.empty()) {
+    return Status::Invalid("query has an empty projection");
+  }
   std::string out = "select ";
   if (top != nullptr) out += "top " + top->value + " ";
   if (project->value == "distinct") out += "distinct ";
@@ -182,8 +186,13 @@ Result<std::string> Unparse(const Ast& ast) {
     out += from->children[i].value;
   }
   if (where != nullptr && !where->children.empty()) {
-    out += " where ";
-    RenderExpr(where->children[0], 0, &out);
+    const Ast& pred = where->children[0];
+    // An empty conjunction (every predicate of a MULTI removed) is true:
+    // the query filters nothing, which SQL says by omitting the clause.
+    if (pred.sym != Symbol::kAnd || !pred.children.empty()) {
+      out += " where ";
+      RenderExpr(pred, 0, &out);
+    }
   }
   if (group != nullptr) {
     out += " group by ";

@@ -497,10 +497,7 @@ api::WorkerStatsDto GoldenWorkerStats() {
   w.reconnects = 8;
   w.cache_probes = 9;
   w.cache_probe_hits = 10;
-  w.tt_peer_ingested = 11;
-  w.tt_peer_hits = 12;
   w.result_peer_hits = 13;
-  w.tt_published = 14;
   return w;
 }
 
@@ -661,15 +658,13 @@ TEST(Dto, GoldenWirePinsEveryDto) {
              R"({"worker":1,"address":"127.0.0.1:9001","healthy":false,)"
              R"("draining":true,"jobs_submitted":2,"jobs_executed":3,"jobs_pending":4,)"
              R"("sessions_active":5,"rpcs":6,"rpc_failures":7,"reconnects":8,)"
-             R"("cache_probes":9,"cache_probe_hits":10,"tt_peer_ingested":11,)"
-             R"("tt_peer_hits":12,"result_peer_hits":13,"tt_published":14})");
+             R"("cache_probes":9,"cache_probe_hits":10,"result_peer_hits":13})");
   ExpectWire(api::ClusterResponse{"cluster", {GoldenWorkerStats()}},
              R"({"mode":"cluster","workers":[{"worker":1,"address":"127.0.0.1:9001",)"
              R"("healthy":false,"draining":true,"jobs_submitted":2,"jobs_executed":3,)"
              R"("jobs_pending":4,"sessions_active":5,"rpcs":6,"rpc_failures":7,)"
              R"("reconnects":8,"cache_probes":9,"cache_probe_hits":10,)"
-             R"("tt_peer_ingested":11,"tt_peer_hits":12,"result_peer_hits":13,)"
-             R"("tt_published":14}]})");
+             R"("result_peer_hits":13}]})");
 
   api::StatsResponse stats;
   int64_t next = 1;
@@ -697,8 +692,7 @@ TEST(Dto, GoldenWirePinsEveryDto) {
              R"("healthy":false,"draining":true,"jobs_submitted":2,"jobs_executed":3,)"
              R"("jobs_pending":4,"sessions_active":5,"rpcs":6,"rpc_failures":7,)"
              R"("reconnects":8,"cache_probes":9,"cache_probe_hits":10,)"
-             R"("tt_peer_ingested":11,"tt_peer_hits":12,"result_peer_hits":13,)"
-             R"("tt_published":14}]}})");
+             R"("result_peer_hits":13}]}})");
 
   // rpc.h
   api::RpcEnvelope env;
@@ -732,25 +726,11 @@ TEST(Dto, GoldenWirePinsEveryDto) {
   ping.draining = true;
   ping.cache_probes = 5;
   ping.cache_probe_hits = 6;
-  ping.tt_peer_ingested = 7;
-  ping.tt_peer_hits = 8;
   ExpectWire(ping,
              R"({"jobs_submitted":1,"jobs_executed":2,"jobs_pending":3,)"
              R"("sessions_active":4,"draining":true,"cache_probes":5,)"
-             R"("cache_probe_hits":6,"tt_peer_ingested":7,"tt_peer_hits":8})");
+             R"("cache_probe_hits":6})");
   ExpectWire(api::CacheProbeResponse{true}, R"({"hit":true})");
-  ExpectWire(api::TtExportRequest{300}, R"({"max_entries":300})");
-  api::TtBatchDto batch;
-  batch.store_key = 0xfedcba9876543210ull;
-  batch.entries = {{0x0123456789abcdefull, 2.5, 3}, {42, 0.125, 0}};
-  ExpectWire(batch,
-             R"({"store_key":"fedcba9876543210","entries":[{"h":"0123456789abcdef",)"
-             R"("c":2.5,"v":3},{"h":"000000000000002a","c":0.125,"v":0}]})");
-  ExpectWire(api::TtSyncDto{{batch}},
-             R"({"batches":[{"store_key":"fedcba9876543210",)"
-             R"("entries":[{"h":"0123456789abcdef","c":2.5,"v":3},)"
-             R"({"h":"000000000000002a","c":0.125,"v":0}]}]})");
-  ExpectWire(api::TtSyncAck{17}, R"({"ingested":17})");
   ExpectWire(api::TextReply{"{\"traceEvents\":[]}"},
              R"({"text":"{\"traceEvents\":[]}"})");
 }
@@ -907,9 +887,6 @@ TEST(Dto, TableDecodeKeepsStrictChecks) {
     return api::WorkerStatsDto::FromJson(v).status();
   };
   auto id = [](const JsonValue& v) { return api::IdRequest::FromJson(v).status(); };
-  auto batch = [](const JsonValue& v) {
-    return api::TtBatchDto::FromJson(v).status();
-  };
   const Case cases[] = {
       {R"({"jobs":{"submitted":1,"bogus":2}})", StatusCode::kInvalidArgument,
        "bogus", stats},
@@ -923,10 +900,6 @@ TEST(Dto, TableDecodeKeepsStrictChecks) {
       {R"({"worker":-1,"address":"a"})", StatusCode::kOutOfRange, "worker",
        worker},
       {R"({"id":"j-1","wait_ms":-5})", StatusCode::kOutOfRange, "wait_ms", id},
-      {R"({"store_key":"xyz","entries":[]})", StatusCode::kInvalidArgument,
-       "store_key", batch},
-      {R"({"store_key":"00ff","entries":[{"c":1.0}]})",
-       StatusCode::kInvalidArgument, "'h'", batch},
   };
   for (const Case& c : cases) {
     auto v = ParseJson(c.text);
@@ -967,31 +940,38 @@ TEST(Dto, ApiOptionsDefaultsMirrorGeneratorOptions) {
 }
 
 TEST(Dto, DeltaCostEvalAcceptedAndIgnored) {
-  // v1 clients may still send the retired ablation flag: both values decode
-  // and map onto the same generator configuration, so neither the result
-  // cache key nor the experience/peering store key can tell them apart.
-  auto decode = [](const char* value) {
-    auto v = ParseJson(std::string(R"({"max_iterations":5,"delta_cost_eval":)") +
-                       value + "}");
-    EXPECT_TRUE(v.ok());
-    auto o = ApiOptions::FromJson(*v);
-    EXPECT_TRUE(o.ok()) << o.status().ToString();
-    auto g = o->ToGeneratorOptions();
-    EXPECT_TRUE(g.ok()) << g.status().ToString();
-    return *g;
-  };
-  const GeneratorOptions off = decode("false");
-  const GeneratorOptions on = decode("true");
-  EXPECT_TRUE(ApiOptions::FromGeneratorOptions(off) ==
-              ApiOptions::FromGeneratorOptions(on));
-  EXPECT_TRUE(ApiOptions::FromGeneratorOptions(off).delta_cost_eval);
+  // v1 clients may still send the retired flags (delta_cost_eval,
+  // cache_peering): both values of each decode and map onto the same
+  // generator configuration, so neither the result cache key nor the
+  // experience store key can tell them apart.
+  for (const char* flag : {"delta_cost_eval", "cache_peering"}) {
+    auto decode = [flag](const char* value) {
+      auto v = ParseJson(std::string(R"({"max_iterations":5,")") + flag + "\":" +
+                         value + "}");
+      EXPECT_TRUE(v.ok());
+      auto o = ApiOptions::FromJson(*v);
+      EXPECT_TRUE(o.ok()) << o.status().ToString();
+      auto g = o->ToGeneratorOptions();
+      EXPECT_TRUE(g.ok()) << g.status().ToString();
+      return *g;
+    };
+    const GeneratorOptions off = decode("false");
+    const GeneratorOptions on = decode("true");
+    EXPECT_TRUE(ApiOptions::FromGeneratorOptions(off) ==
+                ApiOptions::FromGeneratorOptions(on))
+        << flag;
+    EXPECT_TRUE(ApiOptions::FromGeneratorOptions(on).delta_cost_eval) << flag;
+    EXPECT_FALSE(ApiOptions::FromGeneratorOptions(on).cache_peering) << flag;
 
-  const std::vector<std::string> sqls = {"select a from t", "select b from t"};
-  JobSpec spec_off{sqls, off};
-  JobSpec spec_on{sqls, on};
-  EXPECT_EQ(GenerationService::JobKey(spec_off), GenerationService::JobKey(spec_on));
-  EXPECT_EQ(GenerationService::TtStoreKey(spec_off),
-            GenerationService::TtStoreKey(spec_on));
+    const std::vector<std::string> sqls = {"select a from t", "select b from t"};
+    JobSpec spec_off{sqls, off};
+    JobSpec spec_on{sqls, on};
+    EXPECT_EQ(GenerationService::JobKey(spec_off), GenerationService::JobKey(spec_on))
+        << flag;
+    EXPECT_EQ(GenerationService::TtStoreKey(spec_off),
+              GenerationService::TtStoreKey(spec_on))
+        << flag;
+  }
 }
 
 // ------------------------------------------------------------ ApiService
@@ -1330,6 +1310,36 @@ TEST(ApiService, SessionTtlEvictsIdleSessions) {
   auto stats = (*svc)->Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->sessions_expired, 1);
+}
+
+/// Closing a session past its TTL is the same lazy expiry every other
+/// session call sees: NotFound, counted as expired — not an OK that depends
+/// on whether unrelated traffic happened to sweep first.
+TEST(ApiService, CloseSessionPastTtlIsNotFoundAndCountsExpiry) {
+  ApiService::Options opts = SmallServiceOptions();
+  opts.session_ttl_ms = 100;
+  auto svc = ApiService::Create(opts);
+  ASSERT_TRUE(svc.ok());
+  GenerateRequest req;
+  req.workload = "synthetic";
+  req.options = FastGenOptions();
+  auto accepted = (*svc)->SubmitGenerate(req);
+  ASSERT_TRUE(accepted.ok());
+  ASSERT_EQ(AwaitJob(svc->get(), accepted->job_id).state, "done");
+  SessionOpenRequest open;
+  open.job_id = accepted->job_id;
+  auto session = (*svc)->OpenSession(open);
+  ASSERT_TRUE(session.ok());
+  auto before = (*svc)->Stats();
+  ASSERT_TRUE(before.ok());
+  // Past 1.1 * ttl: the sweep interval (ttl / 10) cannot hide the expiry.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  Status closed = (*svc)->CloseSession(session->session_id);
+  EXPECT_EQ(closed.code(), StatusCode::kNotFound) << closed.ToString();
+  EXPECT_EQ((*svc)->sessions_active(), 0u);
+  auto after = (*svc)->Stats();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->sessions_expired, before->sessions_expired + 1);
 }
 
 TEST(ApiService, EventBoundsRejectedBeforeTouchingSession) {

@@ -228,8 +228,7 @@ class ClusterTest : public ::testing::Test {
   /// A non-empty `experience_dir` gives every worker its own persistent
   /// experience store file under that directory; `extra_args` are appended
   /// to every worker's command line.
-  void StartCluster(size_t max_inflight = 64, bool cache_peering = true,
-                    const std::string& experience_dir = "",
+  void StartCluster(size_t max_inflight = 64, const std::string& experience_dir = "",
                     const std::vector<std::string>& extra_args = {}) {
     auto self = cluster::SelfExePath();
     ASSERT_TRUE(self.ok()) << self.status().ToString();
@@ -249,7 +248,6 @@ class ClusterTest : public ::testing::Test {
     ropts.max_inflight_per_worker = max_inflight;
     ropts.health_interval_ms = 100;  // fast recovery detection in tests
     ropts.reconnect_backoff_ms = 50;
-    ropts.cache_peering = cache_peering;
     ASSERT_TRUE(router_.Start(std::move(ropts)).ok());
   }
 
@@ -557,8 +555,8 @@ TEST_F(ClusterTest, BoundedAdmissionAnswersResourceExhausted) {
 /// NotFound by the worker erases it, so the next call on the id gets the
 /// router's own "unknown session id" instead of another round trip.
 TEST_F(ClusterTest, SessionRouteErasedWhenWorkerAnswersNotFound) {
-  StartCluster(/*max_inflight=*/64, /*cache_peering=*/true,
-               /*experience_dir=*/"", {"--session-ttl-ms", "200"});
+  StartCluster(/*max_inflight=*/64, /*experience_dir=*/"",
+               {"--session-ttl-ms", "200"});
   GenerateRequest req;
   req.workload = "flights";
   req.options = FastGenOptions();
@@ -634,14 +632,7 @@ TEST_F(ClusterTest, DrainRefusesNewWorkKeepsReads) {
   EXPECT_EQ(still->state, "done");
 }
 
-// ------------------------------------------------------- cache peering
-
-ApiOptions PeeringGenOptions(int64_t max_iterations) {
-  ApiOptions o = FastGenOptions();
-  o.cache_peering = true;
-  o.max_iterations = max_iterations;
-  return o;
-}
+// ------------------------------------------------ result-cache probing
 
 /// Sums a per-worker counter over a Stats response's cluster rows.
 int64_t SumWorkers(const api::StatsResponse& st,
@@ -651,75 +642,7 @@ int64_t SumWorkers(const api::StatsResponse& st,
   return total;
 }
 
-/// The tentpole acceptance test: a same-schema job storm (same workload +
-/// seed, different budgets — same TT store, distinct result-cache keys)
-/// through a 3-worker peering cluster must stay bit-identical to the
-/// in-process frontend while the transposition gossip demonstrably flows:
-/// cross-worker ingests, warm-start hits, and router publishes all nonzero.
-TEST_F(ClusterTest, PeeringStormBitIdenticalWithNonzeroTtGossip) {
-  StartCluster();
-  auto local = ApiService::Create(SmallServiceOptions());
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-  api::ServiceFrontend* lhs = local->get();
-  api::ServiceFrontend* rhs = &router_;
-
-  // Sequential storm so gossip rounds (every health tick, 100 ms here) run
-  // between jobs: later budgets warm-start from earlier exports.
-  const int64_t budgets[] = {200, 24, 60, 36, 96, 48};
-  for (const int64_t budget : budgets) {
-    SCOPED_TRACE("budget=" + std::to_string(budget));
-    GenerateRequest req;
-    req.workload = "flights";
-    req.options = PeeringGenOptions(budget);
-
-    auto a = lhs->SubmitGenerate(req);
-    auto b = rhs->SubmitGenerate(req);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(a->job_id, b->job_id);
-    auto sa = lhs->GetJob(a->job_id, /*wait_ms=*/30000);
-    auto sb = rhs->GetJob(b->job_id, /*wait_ms=*/30000);
-    ASSERT_TRUE(sa.ok()) << sa.status().ToString();
-    ASSERT_TRUE(sb.ok()) << sb.status().ToString();
-    ASSERT_EQ(sa->state, "done");
-    ASSERT_EQ(sb->state, "done");
-    NormalizeStatus(&*sa);
-    NormalizeStatus(&*sb);
-    EXPECT_TRUE(*sa == *sb)
-        << "peered cluster diverged from single-process:\n"
-        << WriteJson(sa->ToJson()) << "\nvs\n" << WriteJson(sb->ToJson());
-    // A pause per job: the health loop's gossip round distributes the
-    // just-finished job's hot entries before the next budget runs.
-    std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  }
-
-  // Gossip evidence, polled until the health loop's pings have refreshed
-  // the per-worker rows: some worker merged entries it did not discover
-  // (cross-worker ingest), some search was served by a peer-seeded entry,
-  // and the router published batches.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  api::StatsResponse last;
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto st = rhs->Stats();
-    ASSERT_TRUE(st.ok()) << st.status().ToString();
-    last = *st;
-    if (SumWorkers(last, &api::WorkerStatsDto::tt_peer_ingested) > 0 &&
-        SumWorkers(last, &api::WorkerStatsDto::tt_peer_hits) > 0 &&
-        SumWorkers(last, &api::WorkerStatsDto::tt_published) > 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-  EXPECT_GT(SumWorkers(last, &api::WorkerStatsDto::tt_peer_ingested), 0)
-      << "no worker ingested gossiped transposition entries";
-  EXPECT_GT(SumWorkers(last, &api::WorkerStatsDto::tt_peer_hits), 0)
-      << "no search warm-started from peer-seeded entries";
-  EXPECT_GT(SumWorkers(last, &api::WorkerStatsDto::tt_published), 0)
-      << "the router published no gossip batches";
-}
-
-/// Cross-worker result-cache peering, exercised through the only topology
+/// Cross-worker result-cache probing, exercised through the only topology
 /// where placement and holder can differ: the owner dies, an identical
 /// resubmission reroutes to a sibling (which computes and caches), the
 /// owner returns empty on the same port — and the next identical submit is
@@ -730,7 +653,8 @@ TEST_F(ClusterTest, ResultPeeringAfterOwnerRestartAndStaleIdsAreNotFound) {
   StartCluster();
   GenerateRequest req;
   req.workload = "flights";
-  req.options = PeeringGenOptions(12);
+  req.options = FastGenOptions();
+  req.options.max_iterations = 12;
 
   auto first = router_.SubmitGenerate(req);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -880,43 +804,6 @@ TEST_F(ClusterTest, WorkerKillMidLongPollSurfacesRetryableUnavailable) {
   EXPECT_TRUE(ErrorBody::FromStatus(wait_status).retryable);
 }
 
-/// Ablation arm: with peering off at the router (and off in requests, the
-/// default), the cluster behaves exactly as before the peering tier —
-/// bit-identical results and zero probe/gossip traffic.
-TEST_F(ClusterTest, PeeringOffAblationMatchesBaselineWithNoPeerTraffic) {
-  StartCluster(/*max_inflight=*/64, /*cache_peering=*/false);
-  auto local = ApiService::Create(SmallServiceOptions());
-  ASSERT_TRUE(local.ok()) << local.status().ToString();
-
-  for (int64_t seed : {5, 11}) {
-    GenerateRequest req;
-    req.workload = "synthetic";
-    req.options = FastGenOptions();
-    req.options.seed = seed;
-    auto a = (*local)->SubmitGenerate(req);
-    auto b = router_.SubmitGenerate(req);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    auto sa = (*local)->GetJob(a->job_id, /*wait_ms=*/30000);
-    auto sb = router_.GetJob(b->job_id, /*wait_ms=*/30000);
-    ASSERT_TRUE(sa.ok());
-    ASSERT_TRUE(sb.ok());
-    NormalizeStatus(&*sa);
-    NormalizeStatus(&*sb);
-    EXPECT_TRUE(*sa == *sb) << "ablation arm diverged";
-  }
-
-  // Let a few health ticks pass: were gossip misguardedly enabled, it
-  // would have run by now.
-  std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  auto st = router_.Stats();
-  ASSERT_TRUE(st.ok());
-  EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::cache_probes), 0);
-  EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::tt_peer_ingested), 0);
-  EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::tt_published), 0);
-  EXPECT_EQ(SumWorkers(*st, &api::WorkerStatsDto::result_peer_hits), 0);
-}
-
 // ------------------------------------------------- experience counters
 
 /// The router's aggregated Stats() sums the workers' experience (`learn_*`)
@@ -926,7 +813,7 @@ TEST_F(ClusterTest, RouterStatsSumWorkerLearnCounters) {
   char tmpl[] = "/tmp/ifgen_cluster_exp_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
-  StartCluster(/*max_inflight=*/64, /*cache_peering=*/false, dir);
+  StartCluster(/*max_inflight=*/64, dir);
 
   // One more job than workers, sequentially: same seed and workload (one
   // experience identity), distinct budgets (distinct result-cache keys), so

@@ -14,6 +14,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -445,9 +446,10 @@ TEST(ExperienceService, WarmStartSeedsFromRecordedExperience) {
   EXPECT_GT(result->stats.root_seeded, 0u);
 }
 
-/// One SeedBridge carries both seed kinds, but only experience entries may
-/// grant root children virtual visits: peer entries seed costs alone, so a
-/// peered search stays bit-identical to a cold one.
+/// Experience entries seed costs for every state they name, but grant
+/// virtual visits only to root children: entries that match no root child
+/// skip re-evaluations without changing the search, so such a run stays
+/// bit-identical to a cold one while evaluating less.
 TEST(SeedBridge, OnlyExperienceEntriesGrantRootVisits) {
   auto bundle = LoadWorkload("flights", 200);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
@@ -466,56 +468,56 @@ TEST(SeedBridge, OnlyExperienceEntriesGrantRootVisits) {
   // steer selection, so each run sees the same root children.
   gen.search.priors.progressive_widening = false;
   gen.search.max_expansions_per_iteration = 100000;
+  struct Run {
+    Result<SearchResult> result;
+    size_t evaluations = 0;
+  };
   auto run = [&](const std::shared_ptr<SeedBridge>& bridge) {
     StateEvaluator eval(gen.MakeEvalOptions(), *queries);
     SearchOptions opts = gen.search;
     opts.seed_bridge = bridge;
     MctsSearcher searcher(&rules, &eval, opts);
-    return searcher.Run(*initial);
+    Run r{searcher.Run(*initial)};
+    r.evaluations = eval.evaluations();
+    return r;
   };
 
-  // A cold run harvests the root children and their sampled costs.
+  // A cold run harvests the root children and the other sampled states.
   auto cold_bridge = std::make_shared<SeedBridge>();
   cold_bridge->export_limit = 1u << 20;
-  auto cold = run(cold_bridge);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  Run cold = run(cold_bridge);
+  ASSERT_TRUE(cold.result.ok()) << cold.result.status().ToString();
   std::vector<TtSeedEntry> root_children;
-  for (const RootActionStat& a : cold_bridge->root_actions) {
-    for (const TtSeedEntry& e : cold_bridge->exported) {
-      if (e.canonical == a.canonical) root_children.push_back(e);
-    }
+  std::vector<TtSeedEntry> off_root;
+  for (const TtSeedEntry& e : cold_bridge->exported) {
+    const bool is_root_child =
+        std::any_of(cold_bridge->root_actions.begin(), cold_bridge->root_actions.end(),
+                    [&e](const RootActionStat& a) { return a.canonical == e.canonical; });
+    (is_root_child ? root_children : off_root).push_back(e);
   }
   ASSERT_GE(root_children.size(), 2u);
-  const TtSeedEntry& p = root_children[0];
-  const TtSeedEntry& x = root_children[1];
+  ASSERT_FALSE(off_root.empty());
 
-  // Peer entries only: no virtual visits, bit-identical to the cold run.
-  auto peer_only = std::make_shared<SeedBridge>();
-  peer_only->peer_seed = {p, x};
-  auto peered = run(peer_only);
-  ASSERT_TRUE(peered.ok());
-  EXPECT_EQ(peer_only->seeded_root_children, 0u);
-  EXPECT_EQ(peered->stats.root_seeded, 0u);
-  EXPECT_GT(peer_only->peer_hits, 0u);
-  EXPECT_EQ(peered->best_cost, cold->best_cost);
-  EXPECT_EQ(peered->best_tree, cold->best_tree);
-  EXPECT_EQ(peered->stats.iterations, cold->stats.iterations);
+  // Entries matching no root child: no virtual visits, the same search,
+  // fewer evaluations.
+  auto off_root_bridge = std::make_shared<SeedBridge>();
+  off_root_bridge->experience_seed = off_root;
+  Run seeded = run(off_root_bridge);
+  ASSERT_TRUE(seeded.result.ok()) << seeded.result.status().ToString();
+  EXPECT_EQ(off_root_bridge->seeded_root_children, 0u);
+  EXPECT_EQ(seeded.result->stats.root_seeded, 0u);
+  EXPECT_EQ(seeded.result->best_cost, cold.result->best_cost);
+  EXPECT_EQ(seeded.result->best_tree, cold.result->best_tree);
+  EXPECT_EQ(seeded.result->stats.iterations, cold.result->stats.iterations);
+  EXPECT_LT(seeded.evaluations, cold.evaluations);
 
-  // Both kinds: only the experience entry grants visits, even though the
-  // peer entry matches a root child too (and x appears in both lists).
-  auto mixed = std::make_shared<SeedBridge>();
-  mixed->peer_seed = {p, x};
-  mixed->experience_seed = {x};
-  auto mixed_run = run(mixed);
-  ASSERT_TRUE(mixed_run.ok());
-  EXPECT_EQ(mixed->seeded_root_children, 1u);
-  EXPECT_EQ(mixed_run->stats.root_seeded, 1u);
-
-  // Control: the same two entries as experience seeds both grant visits.
+  // Entries matching root children each grant that child visits.
   auto learned = std::make_shared<SeedBridge>();
-  learned->experience_seed = {p, x};
-  ASSERT_TRUE(run(learned).ok());
+  learned->experience_seed = {root_children[0], root_children[1]};
+  Run warm = run(learned);
+  ASSERT_TRUE(warm.result.ok());
   EXPECT_EQ(learned->seeded_root_children, 2u);
+  EXPECT_EQ(warm.result->stats.root_seeded, 2u);
 }
 
 TEST(ExperienceService, SaveWhileSearchingIsSafe) {

@@ -25,12 +25,12 @@ namespace ifgen {
 namespace {
 
 GeneratedInterface MakeInterface(const std::vector<std::string>& sqls,
-                                 size_t iterations = 25) {
+                                 size_t iterations = 25, uint64_t seed = 11) {
   GeneratorOptions opt;
   opt.screen = {100, 40};
   opt.search.time_budget_ms = 0;  // iteration-capped: deterministic
   opt.search.max_iterations = iterations;
-  opt.search.seed = 11;
+  opt.search.seed = seed;
   auto r = GenerateInterface(sqls, opt);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).MoveValueUnsafe();
@@ -320,6 +320,65 @@ TEST(InteractiveDifferential, RandomWalksBitIdenticalAcrossBackends) {
   // The columnar backend (the delta-capable one) must have exercised the
   // selection-delta / retruncation paths somewhere in the sweep.
   EXPECT_GT(delta_execs_by_kind[BackendKind::kColumnar], 0u);
+}
+
+/// Every accepted step's SQL text re-parses: clients get `StepResponse.sql`
+/// from CurrentSql(), so a widget state without SQL text (every projected
+/// column switched off) must be refused with InvalidArgument, leaving the
+/// session and the served result exactly where they were.
+TEST(InteractiveProperty, AcceptedStepsHaveReparsableSql) {
+  struct Sized {
+    const char* name;
+    size_t rows;
+  };
+  const Sized workloads[] = {{"flights", 300}, {"sdss", 200}, {"synthetic", 200}};
+  // (search seed, iterations) per interface; sdss at (7, 10) has a MULTI
+  // that can switch off the whole projection.
+  const std::pair<uint64_t, size_t> searches[] = {{7, 10}, {11, 25}};
+  size_t refused = 0;
+  for (const Sized& sized : workloads) {
+    auto w = LoadWorkload(sized.name, sized.rows);
+    ASSERT_TRUE(w.ok()) << w.status().ToString();
+    auto queries = ParseQueries(w->log);
+    ASSERT_TRUE(queries.ok());
+    for (const auto& [search_seed, iterations] : searches) {
+      const std::string context = std::string(sized.name) + "/seed " +
+                                  std::to_string(search_seed);
+      GeneratedInterface iface = MakeInterface(w->log, iterations, search_seed);
+      auto backend = CreateBackend(BackendKind::kColumnar, &w->db);
+      ASSERT_TRUE(backend.ok());
+      std::shared_ptr<ExecutionBackend> shared(std::move(*backend));
+      auto rt = InteractiveRuntime::Create(iface, GeneratorOptions().constants, shared);
+      ASSERT_TRUE(rt.ok()) << context << ": " << rt.status().ToString();
+      for (uint64_t walk_seed = 0; walk_seed < 4; ++walk_seed) {
+        Rng rng(0x5A1 + walk_seed * 104729 + sized.rows);
+        for (const WalkAction& a :
+             MakeWalk((*rt)->session().difftree(), queries->size(), &rng, 200)) {
+          auto sql_before = (*rt)->CurrentSql();
+          ASSERT_TRUE(sql_before.ok()) << context;
+          const uint64_t version_before = (*rt)->version();
+          auto report = ApplyAction(rt->get(), *queries, a);
+          if (!report.ok()) {
+            if (report.status().message().find("empty projection") !=
+                std::string::npos) {
+              ++refused;
+              EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+              EXPECT_EQ(*(*rt)->CurrentSql(), *sql_before) << context;
+              EXPECT_EQ((*rt)->version(), version_before) << context;
+            }
+            continue;
+          }
+          auto sql = (*rt)->CurrentSql();
+          ASSERT_TRUE(sql.ok()) << context << ": " << sql.status().ToString();
+          auto reparsed = ParseQuery(*sql);
+          ASSERT_TRUE(reparsed.ok())
+              << context << ": accepted step has SQL '" << *sql
+              << "' that does not parse: " << reparsed.status().ToString();
+        }
+      }
+    }
+  }
+  EXPECT_GT(refused, 0u) << "no walk reached an empty projection";
 }
 
 // ---------------------------------------------------------------------------

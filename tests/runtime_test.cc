@@ -96,13 +96,22 @@ TEST(TranspositionTable, CostFirstWriterWins) {
   EXPECT_DOUBLE_EQ(*cost, 3.5);
 }
 
-TEST(TranspositionTable, AccumulatesRewards) {
+TEST(TranspositionTable, SeededCostsStayOutOfTheExport) {
   TranspositionTable tt(2);
-  tt.AccumulateReward(5, 0.25);
-  tt.AccumulateReward(5, 0.75);
-  auto e = tt.Get(5);
-  EXPECT_EQ(e.visits, 2u);
-  EXPECT_DOUBLE_EQ(e.total_reward, 1.0);
+  tt.StoreCost(9, 1.5);
+  tt.SeedCost(3, 0.5);
+  tt.SeedCost(9, 7.0);  // ignored: the local sample landed first
+  tt.StoreCost(3, 2.0);  // ignored: the seed landed first
+  tt.StoreCost(5, 2.5);
+  ASSERT_TRUE(tt.LookupCost(3).has_value());
+  EXPECT_DOUBLE_EQ(*tt.LookupCost(3), 0.5);
+  const auto exported = tt.ExportHotCosts(8);
+  ASSERT_EQ(exported.size(), 2u);  // by canonical hash, seeded 3 skipped
+  EXPECT_EQ(exported[0].key, 5u);
+  EXPECT_DOUBLE_EQ(exported[0].cost, 2.5);
+  EXPECT_EQ(exported[1].key, 9u);
+  EXPECT_DOUBLE_EQ(exported[1].cost, 1.5);
+  EXPECT_EQ(tt.ExportHotCosts(1).size(), 1u);
 }
 
 TEST(TranspositionTable, ConcurrentVisitsInsertEachKeyExactlyOnce) {
@@ -113,13 +122,13 @@ TEST(TranspositionTable, ConcurrentVisitsInsertEachKeyExactlyOnce) {
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tt, &first_visits] {
+    threads.emplace_back([&tt, &first_visits, t] {
       for (size_t k = 0; k < kKeys; ++k) {
         // Spread keys over shards: the canonical hashes this table is keyed
         // by are pre-mixed, so a multiplicative spread mimics real keys.
         uint64_t key = k * 0x9e3779b97f4a7c15ULL + 1;
         if (tt.Visit(key)) first_visits[k].fetch_add(1);
-        tt.AccumulateReward(key, 0.5);
+        tt.StoreCost(key, static_cast<double>(t));
       }
     });
   }
@@ -129,6 +138,7 @@ TEST(TranspositionTable, ConcurrentVisitsInsertEachKeyExactlyOnce) {
   }
   EXPECT_EQ(tt.size(), kKeys);
   EXPECT_EQ(tt.transposition_hits(), kKeys * (kThreads - 1));
+  EXPECT_EQ(tt.ExportHotCosts(kKeys).size(), kKeys);  // one cost per key
 }
 
 TEST(TranspositionTable, ConcurrentCostStoresAgreeAfterwards) {

@@ -270,5 +270,30 @@ TEST(Unparser, FragmentsForWidgetLabels) {
   EXPECT_EQ(UnparseFragment(bad), "x = ?");
 }
 
+TEST(Unparser, EmptyProjectionIsInvalid) {
+  // "select  from t" would not parse back, so Unparse refuses to emit it.
+  auto q = ParseQuery("select distinct a from t");
+  ASSERT_TRUE(q.ok());
+  for (Ast& clause : q->children) {
+    if (clause.sym == Symbol::kProject) clause.children.clear();
+  }
+  auto text = Unparse(*q);
+  ASSERT_FALSE(text.ok()) << *text;
+  EXPECT_EQ(text.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Unparser, EmptyConjunctionOmitsWhere) {
+  // A WHERE whose conjunction lost every predicate filters nothing.
+  auto q = ParseQuery("select a from t where x = 1 and y = 2");
+  ASSERT_TRUE(q.ok());
+  for (Ast& clause : q->children) {
+    if (clause.sym == Symbol::kWhere) clause.children[0].children.clear();
+  }
+  auto text = Unparse(*q);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(*text, "select a from t");
+  EXPECT_TRUE(ParseQuery(*text).ok());
+}
+
 }  // namespace
 }  // namespace ifgen
