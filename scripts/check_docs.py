@@ -8,12 +8,20 @@
    Doxygen-style documentation comment (`\\brief` or a `///` line) — the
    repo's convention is that each public type/function documents its
    contract in the header.
+3. Code names in docs still exist: every backticked C++-style identifier
+   in a tracked *.md file (a CamelCase name like `SearchRun`, or a
+   qualified name like `Searcher::Run`, optionally followed by `()`) must
+   occur as a word somewhere under the code directories, so a doc cannot
+   keep naming code that was renamed or deleted. The history and planning
+   documents (CHANGES.md, ROADMAP.md, ISSUE.md) name removed code on
+   purpose and are skipped.
 
 Exit code 0 = clean, 1 = findings (printed one per line).
 """
 
 import os
 import re
+import subprocess
 import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -22,6 +30,12 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)\)")
 CODE_SPAN_RE = re.compile(r"`[^`]*`")
 SKIP_DIRS = {"build", "build-tsan", ".git", ".claude"}
+
+CODE_DIRS = ["src", "bench", "tests", "examples", "perfbench"]
+HISTORY_DOCS = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+# `Name`, `A::B`, `A::B::c`, `A::~A`, each optionally with a trailing ().
+CODE_NAME_RE = re.compile(r"^[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)*(?:\(\))?$")
+CAMEL_RE = re.compile(r"^[A-Z][a-z0-9]+[A-Z]\w*$")
 
 
 def markdown_files():
@@ -67,14 +81,52 @@ def check_headers():
     return errors
 
 
+def code_words():
+    words = set()
+    for d in CODE_DIRS:
+        for root, dirs, files in os.walk(os.path.join(REPO, d)):
+            dirs[:] = [x for x in dirs if x not in SKIP_DIRS]
+            for f in files:
+                with open(os.path.join(root, f), encoding="utf-8", errors="ignore") as fh:
+                    words.update(re.findall(r"\w+", fh.read()))
+    return words
+
+
+def check_code_names():
+    tracked = subprocess.run(["git", "ls-files", "*.md"], cwd=REPO, check=True,
+                             capture_output=True, text=True).stdout.split()
+    words = code_words()
+    errors = []
+    for md in tracked:
+        if md in HISTORY_DOCS:
+            continue
+        with open(os.path.join(REPO, md), encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                for span in CODE_SPAN_RE.findall(line):
+                    name = span.strip("`").strip()
+                    if not CODE_NAME_RE.match(name):
+                        continue
+                    if name.endswith("()"):
+                        name = name[:-2]
+                    if "::" not in name and not CAMEL_RE.match(name):
+                        continue
+                    missing = [p.lstrip("~") for p in name.split("::")
+                               if p.lstrip("~") not in words]
+                    if missing:
+                        errors.append(f"{md}:{lineno}: `{name}` names "
+                                      f"{', '.join(missing)}, which no code "
+                                      f"under {'/, '.join(CODE_DIRS)}/ contains")
+    return errors
+
+
 def main():
-    errors = check_links() + check_headers()
+    errors = check_links() + check_headers() + check_code_names()
     for e in errors:
         print(e)
     if errors:
         print(f"\n{len(errors)} documentation finding(s)", file=sys.stderr)
         return 1
-    print("docs clean: links resolve, headers documented")
+    print("docs clean: links resolve, headers documented, code names exist")
     return 0
 
 

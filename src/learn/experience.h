@@ -115,7 +115,9 @@ class ExperienceStore {
 
   /// Up to `limit` records for `schema_fp`, most-visited first (canonical
   /// ascending as the deterministic tie-break) — the warm-start seed batch
-  /// for one search.
+  /// for one search. Only root records carry visits (a search exports its
+  /// sampled costs with 0 visits), so root records come first and every
+  /// other record follows by canonical hash.
   std::vector<ExperienceRecord> Snapshot(uint64_t schema_fp,
                                          size_t limit) const;
 

@@ -465,10 +465,10 @@ Result<GenerationService::JobId> GenerationService::SubmitJobWithCallback(
       store_key = TtStoreKey(spec);
       bridge = std::make_shared<SeedBridge>();
       spec.options.search.seed_bridge = bridge;
-      // Most-visited records seeded into one search's bridge: at least one
-      // search's export (the bridge's export_limit, 512, plus root records),
-      // since visit ordering favors hot rollout states and a tighter limit
-      // can crowd out the root-action records that shift the next opening.
+      // Records seeded into one search's bridge: room for at least one
+      // search's export (the bridge's export_limit, 512) plus root records.
+      // Only root records carry visits, so they come first; the exported
+      // sampled costs (0 visits each) follow by canonical hash.
       constexpr size_t kExperienceSeedLimit = 1024;
       const std::vector<learn::ExperienceRecord> snap =
           experience_->Snapshot(store_key, kExperienceSeedLimit);

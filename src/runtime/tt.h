@@ -208,7 +208,7 @@ class TranspositionTable {
     uint64_t key = 0;
     double cost = 0.0;
   };
-  std::vector<ExportedCost> ExportHotCosts(size_t limit) const {
+  std::vector<ExportedCost> ExportSampledCosts(size_t limit) const {
     std::vector<ExportedCost> out;
     map_.ForEach([&out](uint64_t key, const Entry& e) {
       if (!e.has_cost || e.seeded || !std::isfinite(e.cost)) return;

@@ -15,8 +15,9 @@ class RandomSearcher final : public Searcher {
   Result<SearchResult> Run(const DiffTree& initial) override;
 };
 
-/// \brief Steepest-ascent hill climbing with random restarts: evaluates all
-/// successors, moves to the best, restarts when stuck.
+/// \brief Steepest-ascent hill climbing: evaluates all successors, moves to
+/// the best, and stops (`StopReason::kExhausted`) at the first state none
+/// of whose successors improves on it.
 class GreedySearcher final : public Searcher {
  public:
   using Searcher::Searcher;

@@ -96,23 +96,17 @@ size_t UnlockedApps(const SearchOptions& opts, const Node& node) {
 
 }  // namespace
 
-void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
-  Rng& rng = *p.rng;
-  SearchStats& stats = *p.stats;
-  const SearchOptions& opts = p.opts;
-  const Stopwatch& watch = *p.watch;
-  Deadline& deadline = *p.deadline;
+void RunMctsTree(const DiffTree& initial, MctsSearch* search, Rng* tree_rng,
+                 SearchStats* tree_stats, std::vector<RootActionStat>* root_actions) {
+  MctsSearch& p = *search;
+  Rng& rng = *tree_rng;
+  SearchStats& stats = *tree_stats;
+  const SearchOptions& opts = p.tree_opts;
+  const Deadline& deadline = p.run.deadline;
   const RolloutContext rctx{p.rules, p.evaluator, &opts};
+  SearchLoop loop(&p.run, &stats, opts.max_iterations);
 
-  double c0_raw;
-  if (std::isnan(p.anchor_cost)) {
-    c0_raw = p.evaluator->SampleCost(initial, &rng);
-    stats.initial_cost = c0_raw;
-    p.best->Offer(initial, c0_raw, watch, 0, &stats);
-  } else {
-    c0_raw = p.anchor_cost;
-    stats.initial_cost = c0_raw;
-  }
+  const double c0_raw = p.run.stats.initial_cost;
   // Normalization anchor; a state with cost c receives reward c0/(c0+c).
   const double c0 = std::isfinite(c0_raw) ? std::max(1.0, c0_raw) : 100.0;
   auto reward_of = [&](double cost) {
@@ -173,16 +167,16 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
   root->state = initial;
   root->canonical = initial.CanonicalHash();
   ensure_apps(root.get());
-  p.tt->Visit(root->canonical);
+  p.tt.Visit(root->canonical);
 
   // Persisted experience: root children matching an experience seed entry
   // start with capped virtual visits and the seed cost's reward, steering
   // early PUCT selection toward previously good actions. Pure bookkeeping —
   // no RNG draws — so an absent (or empty) seed leaves the run bit-identical.
   std::unordered_map<uint64_t, const TtSeedEntry*> exp_seed;
-  if (p.seed_bridge != nullptr) {
-    exp_seed.reserve(p.seed_bridge->experience_seed.size());
-    for (const TtSeedEntry& e : p.seed_bridge->experience_seed) {
+  if (const SeedBridge* bridge = opts.seed_bridge.get()) {
+    exp_seed.reserve(bridge->experience_seed.size());
+    for (const TtSeedEntry& e : bridge->experience_seed) {
       exp_seed.emplace(e.canonical, &e);
     }
   }
@@ -201,21 +195,10 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
 
   // Anytime control: the stop flag is polled every iteration (relaxed
   // atomic, negligible next to a rollout); the shared TimeManager is fed
-  // every check_interval iterations. With both null this loop is exactly
-  // the classic deadline/iteration-cap loop, draw for draw.
-  const uint32_t check_interval =
-      std::max<uint32_t>(1, opts.time_control.check_interval);
-  uint32_t since_check = 0;
-
-  while (!deadline.Expired()) {
-    if (p.stop != nullptr && p.stop->stop_requested()) break;
-    if (opts.max_iterations > 0 && stats.iterations >= opts.max_iterations) break;
-    ++stats.iterations;
-    if (p.timeman != nullptr && ++since_check >= check_interval) {
-      p.timeman->Update(since_check, watch.ElapsedMillis(), p.best->CostSnapshot());
-      since_check = 0;
-      if (p.stop != nullptr && p.stop->stop_requested()) break;
-    }
+  // every check_interval iterations. A stop latched by that tick ends the
+  // loop before the counted iteration does any work.
+  while (!loop.Done()) {
+    if (loop.Count() && p.run.StopRequested()) break;
 
     // 1. Selection: descend by UCT (PUCT with priors) while the widening
     // schedule offers no unexpanded action at the node.
@@ -268,7 +251,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         child->prior = node->priors.empty() ? 0.0 : node->priors[app_index];
         child->rule_index = app.rule_index;
         seed_root_child(child.get());
-        if (!p.tt->Visit(child->canonical)) {
+        if (!p.tt.Visit(child->canonical)) {
           ++stats.transposition_hits;
         }
         ++stats.states_expanded;
@@ -284,7 +267,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         // True terminal: no applicable rules at all. Evaluate once, mark
         // dead so selection stops revisiting, and propagate death upward.
         double cost = p.evaluator->SampleCost(node->state, &rng);
-        p.best->Offer(node->state, cost, watch, stats.iterations, &stats);
+        loop.Offer(node->state, cost);
         node->dead = true;
         for (Node* n = node->parent; n != nullptr; n = n->parent) {
           if (!n->apps_ready || n->next_untried < n->apps.size()) break;
@@ -302,7 +285,7 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
         DiffTree rollout_best;
         double cost =
             RolloutAndEvaluateState(rctx, node->state, &rng, &stats, &rollout_best);
-        p.best->Offer(rollout_best, cost, watch, stats.iterations, &stats);
+        loop.Offer(rollout_best, cost);
         stats.RecordRuleOutcome(node->rule_index, reward_of(cost));
         backprop(node, reward_of(cost));
       }
@@ -313,16 +296,16 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     // own (cached) evaluation also feeds the global best tracker.
     obs::TraceSpan sim_span("mcts.simulate", "search");
     for (Node* child : fresh) {
-      auto cached = p.tt->LookupCost(child->canonical);
+      auto cached = p.tt.LookupCost(child->canonical);
       double child_cost =
           cached.has_value() ? *cached : p.evaluator->SampleCost(child->state, &rng);
-      if (!cached.has_value()) p.tt->StoreCost(child->canonical, child_cost);
-      p.best->Offer(child->state, child_cost, watch, stats.iterations, &stats);
+      if (!cached.has_value()) p.tt.StoreCost(child->canonical, child_cost);
+      loop.Offer(child->state, child_cost);
 
       DiffTree rollout_best;
       double roll_cost =
           RolloutAndEvaluateState(rctx, child->state, &rng, &stats, &rollout_best);
-      p.best->Offer(rollout_best, roll_cost, watch, stats.iterations, &stats);
+      loop.Offer(rollout_best, roll_cost);
 
       const double r = std::max(reward_of(child_cost), reward_of(roll_cost));
       stats.RecordRuleOutcome(child->rule_index, r);
@@ -340,21 +323,32 @@ void RunMctsTree(const DiffTree& initial, const MctsTreeParams& p) {
     m.rollout_steps->Add(stats.rollout_steps - base_rollout_steps);
   }
 
-  if (p.root_actions != nullptr) {
+  if (root_actions != nullptr) {
     for (const auto& ch : root->children) {
       RootActionStat a;
       a.canonical = ch->canonical;
       a.visits = ch->visits;
       a.total_reward = ch->total_reward;
-      p.root_actions->push_back(a);
+      root_actions->push_back(a);
     }
   }
 }
 
-void SeedTranspositions(const SeedBridge* bridge, TranspositionTable* tt) {
-  if (bridge == nullptr) return;
-  for (const TtSeedEntry& e : bridge->experience_seed) tt->SeedCost(e.canonical, e.cost);
+MctsSearch::MctsSearch(const RuleEngine* rules, StateEvaluator* evaluator,
+                       const SearchOptions& opts, size_t tt_shards)
+    : rules(rules), evaluator(evaluator), tree_opts(opts), run(opts), tt(tt_shards) {
+  if (const SeedBridge* bridge = opts.seed_bridge.get()) {
+    for (const TtSeedEntry& e : bridge->experience_seed) tt.SeedCost(e.canonical, e.cost);
+  }
+  // One prior model per search: it is immutable after construction, so all
+  // trees read it concurrently, and building it once keeps every tree's
+  // priors (and hence their expansion order) coherent.
+  if (opts.priors.use_priors) {
+    priors = std::make_unique<ActionPriorModel>(*rules, evaluator->queries(), opts.priors);
+  }
 }
+
+MctsSearch::~MctsSearch() = default;
 
 void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
                    size_t root_seeded, std::vector<RootActionStat>* root_actions,
@@ -368,7 +362,7 @@ void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
                    });
   if (bridge == nullptr) return;
   bridge->exported.clear();
-  for (const auto& ec : tt.ExportHotCosts(bridge->export_limit)) {
+  for (const auto& ec : tt.ExportSampledCosts(bridge->export_limit)) {
     bridge->exported.push_back({ec.key, ec.cost, 0});
   }
   bridge->root_actions = *root_actions;
@@ -377,52 +371,20 @@ void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
 }
 
 Result<SearchResult> MctsSearcher::Run(const DiffTree& initial) {
-  Rng rng(opts_.seed);
-  Stopwatch watch;
-  RunControl rc(opts_);
-  Deadline& deadline = rc.deadline();
-  SearchStats stats;
-  SharedBestTracker best;
-  best.sink = opts_.progress.get();
-  SeedBridge* bridge = opts_.seed_bridge.get();
-  // A single-shard table is exactly the old per-searcher unordered_set plus
-  // an in-run cost memo.
-  TranspositionTable tt(1);
-  SeedTranspositions(bridge, &tt);
-  std::unique_ptr<ActionPriorModel> priors;
-  if (opts_.priors.use_priors) {
-    priors = std::make_unique<ActionPriorModel>(*rules_, evaluator_->queries(),
-                                                opts_.priors);
-  }
-
-  MctsTreeParams params;
-  params.rules = rules_;
-  params.evaluator = evaluator_;
-  params.opts = opts_;
-  params.rng = &rng;
-  params.watch = &watch;
-  params.deadline = &deadline;
-  params.tt = &tt;
-  params.best = &best;
-  params.stats = &stats;
-  params.priors = priors.get();
-  params.stop = rc.stop();
-  params.timeman = rc.timeman();
-  params.seed_bridge = bridge;
+  // A single-shard table is exactly a per-searcher visited set plus an
+  // in-run cost memo.
+  MctsSearch search(rules_, evaluator_, opts_, /*tt_shards=*/1);
+  SearchRun& run = search.run;
+  // The reward anchor is the first draw of the tree's own stream.
+  run.Start(initial, evaluator_);
   // Root-action stats feed the bridge, not SearchResult (which stays empty
   // for serial searchers, as documented).
+  SeedBridge* bridge = opts_.seed_bridge.get();
   std::vector<RootActionStat> root_actions;
-  if (bridge != nullptr) params.root_actions = &root_actions;
-  RunMctsTree(initial, params);
-  HarvestSearch(initial, tt, stats.root_seeded, &root_actions, bridge);
-
-  SearchResult result;
-  result.best_tree = best.tree;
-  result.best_cost = best.cost;
-  result.stats = std::move(stats);
-  result.stats.elapsed_ms = watch.ElapsedMillis();
-  result.stats.stop_reason = rc.Resolve(result.stats.iterations);
-  return result;
+  RunMctsTree(initial, &search, &run.rng, &run.stats,
+              bridge != nullptr ? &root_actions : nullptr);
+  HarvestSearch(initial, search.tt, run.stats.root_seeded, &root_actions, bridge);
+  return run.Finish();
 }
 
 }  // namespace ifgen

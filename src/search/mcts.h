@@ -1,9 +1,7 @@
 #pragma once
 
-#include <cmath>
-#include <limits>
 #include <memory>
-#include <mutex>
+#include <vector>
 
 #include "runtime/tt.h"
 #include "search/search_common.h"
@@ -12,83 +10,41 @@ namespace ifgen {
 
 class ActionPriorModel;
 
-/// \brief Thread-safe global best tracker shared by all trees of one
-/// search. Only *global* improvements are recorded, so each
-/// contributing tree's trace is a slice of the monotone best-so-far curve.
-struct SharedBestTracker {
-  std::mutex mu;
-  DiffTree tree;
-  double cost = std::numeric_limits<double>::infinity();
-  /// Optional live publisher: every global improvement streams out as a
-  /// versioned ProgressSink event the moment it is accepted.
-  ProgressSink* sink = nullptr;
+/// \brief One MCTS search's shared state, built once and shared by every
+/// tree of a parallel ensemble: the engine and evaluator, the per-tree
+/// options, the run scaffold (clock, deadline, stop handle, TimeManager,
+/// best tracker; its initial cost is every tree's reward anchor, so all
+/// trees normalize rewards identically), the transposition table (seeded
+/// from the options' seed bridge) and the prior model. Each tree's RNG
+/// stream, stats and root actions are its own and are passed to
+/// RunMctsTree separately.
+struct MctsSearch {
+  MctsSearch(const RuleEngine* rules, StateEvaluator* evaluator,
+             const SearchOptions& opts, size_t tt_shards);
+  ~MctsSearch();
 
-  bool Offer(const DiffTree& t, double c, const Stopwatch& watch, size_t iteration,
-             SearchStats* stats) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (c >= cost) return false;
-    cost = c;
-    tree = t;
-    const int64_t ms = watch.ElapsedMillis();
-    stats->trace.push_back({ms, iteration, c});
-    if (sink != nullptr) sink->Publish(t, c, iteration, ms);
-    return true;
-  }
-
-  double CostSnapshot() {
-    std::lock_guard<std::mutex> lock(mu);
-    return cost;
-  }
-};
-
-/// \brief Wiring for one MCTS tree run (see RunMctsTree).
-///
-/// Serial search passes tree-local objects for everything; parallel
-/// ensembles share `tt`, `best`, `deadline`, and `watch` across trees while
-/// keeping `rng` and `stats` strictly per-tree.
-struct MctsTreeParams {
-  const RuleEngine* rules = nullptr;
-  StateEvaluator* evaluator = nullptr;
-  SearchOptions opts;
-  Rng* rng = nullptr;                ///< per-tree stream (never shared)
-  const Stopwatch* watch = nullptr;  ///< search-global clock (trace timestamps)
-  Deadline* deadline = nullptr;
-  TranspositionTable* tt = nullptr;
-  SharedBestTracker* best = nullptr;
-  SearchStats* stats = nullptr;  ///< per-tree (merged by the caller)
+  const RuleEngine* rules;
+  StateEvaluator* evaluator;
+  /// A parallel ensemble splits max_iterations across its trees; the seed
+  /// bridge, if any, grants root children virtual visits.
+  SearchOptions tree_opts;
+  SearchRun run;
+  TranspositionTable tt;
   /// Log-derived action priors (PUCT selection + prior-ordered expansion).
-  /// Null = uniform treatment (the paper's UCT). Immutable, so parallel
-  /// ensembles share one model across all trees.
-  const ActionPriorModel* priors = nullptr;
-  /// Reward-normalization anchor (the initial state's sampled cost). NaN =
-  /// "compute it here and offer the initial state to `best`" (serial mode);
-  /// parallel ensembles compute it once and pass it to every tree so all
-  /// trees normalize rewards identically.
-  double anchor_cost = std::numeric_limits<double>::quiet_NaN();
-  /// When non-null, receives (canonical, visits, total_reward) of every root
-  /// child after the run — the raw material for root-ensemble merging.
-  std::vector<RootActionStat>* root_actions = nullptr;
-  /// Anytime control (see timeman.h): `stop` is polled (relaxed) once per
-  /// iteration; `timeman` — shared across all trees of one search — is fed
-  /// every time_control.check_interval iterations. Both optional; null
-  /// leaves the classic loop untouched.
-  StopHandle* stop = nullptr;
-  TimeManager* timeman = nullptr;
-  /// Warm-start seeds (see SeedBridge): root children whose canonical hash
-  /// matches an `experience_seed` entry start with capped virtual visits +
-  /// reward. Read-only here; outputs flow through `stats` (root_seeded) and
-  /// `root_actions`. Null = off (bit-identical to the unseeded loop).
-  const SeedBridge* seed_bridge = nullptr;
+  /// Null = uniform treatment (the paper's UCT). Immutable, so every tree
+  /// reads the one model.
+  std::unique_ptr<ActionPriorModel> priors;
 };
 
-/// Runs one MCTS tree to its deadline/iteration budget. The algorithm is
-/// the paper's (see MctsSearcher); this free function exists so that serial
-/// search and root-parallel ensembles execute the *same* tree code.
-void RunMctsTree(const DiffTree& initial, const MctsTreeParams& params);
-
-/// Warm-starts `tt` from the bridge's experience entries (no-op for a null
-/// bridge).
-void SeedTranspositions(const SeedBridge* bridge, TranspositionTable* tt);
+/// Runs one MCTS tree of `search` to its deadline/iteration budget on the
+/// per-tree `rng` stream, counting into `stats`. When `root_actions` is
+/// non-null it receives (canonical, visits, total_reward) of every root
+/// child after the run, the raw material for root-ensemble merging. The
+/// algorithm is the paper's (see MctsSearcher); this free function exists
+/// so that serial search and root-parallel ensembles execute the *same*
+/// tree code.
+void RunMctsTree(const DiffTree& initial, MctsSearch* search, Rng* rng,
+                 SearchStats* stats, std::vector<RootActionStat>* root_actions);
 
 /// Ranks `root_actions` (mean reward desc, then visits desc, then canonical
 /// asc) and, with a bridge, publishes the run's outputs into it: the
@@ -122,8 +78,10 @@ void HarvestSearch(const DiffTree& initial, const TranspositionTable& tt,
 ///  5. Backpropagation along the selection path.
 ///
 /// A transposition table over canonical difftree hashes detects revisited
-/// states (rule sequences often commute); revisits share evaluation results
-/// through the table's cost cache and the StateEvaluator's cache.
+/// states (rule sequences often commute). A fresh child whose state the
+/// table already costed reuses that cost; every other evaluation goes to the
+/// StateEvaluator, whose own memo answers repeats. Improvements go to the
+/// run's one BestTracker (see SearchRun).
 class MctsSearcher final : public Searcher {
  public:
   using Searcher::Searcher;

@@ -4,32 +4,53 @@
 
 namespace ifgen {
 
-RunControl::RunControl(const SearchOptions& opts)
-    : opts_(opts),
-      deadline_(EffectiveSearchBudgetMs(opts.time_budget_ms, opts.time_control)) {
+SearchRun::SearchRun(const SearchOptions& opts)
+    : opts(opts),
+      rng(opts.seed),
+      deadline(EffectiveSearchBudgetMs(opts.time_budget_ms, opts.time_control)) {
   const bool active = opts.time_control.active();
   if (opts.stop != nullptr) {
-    stop_ = opts.stop.get();
+    stop = opts.stop.get();
   } else if (active) {
-    stop_ = &local_stop_;
+    stop = &local_stop;
   }
   if (active) {
-    timeman_ = std::make_unique<TimeManager>(opts.time_control,
-                                             opts.max_iterations, stop_);
-    check_interval_ = std::max<uint32_t>(1, opts.time_control.check_interval);
+    timeman = std::make_unique<TimeManager>(opts.time_control, opts.max_iterations, stop);
   }
+  best.sink = opts.progress.get();
 }
 
-void RunControl::Tick(const Stopwatch& watch, double best_cost) {
-  if (timeman_ == nullptr) return;
-  if (++since_check_ < check_interval_) return;
-  timeman_->Update(since_check_, watch.ElapsedMillis(), best_cost);
+double SearchRun::Start(const DiffTree& initial, StateEvaluator* evaluator) {
+  stats.initial_cost = evaluator->SampleCost(initial, &rng);
+  best.Offer(initial, stats.initial_cost, watch, 0, &stats);
+  return stats.initial_cost;
+}
+
+SearchResult SearchRun::Finish() {
+  SearchResult r;
+  r.best_tree = std::move(best.tree);
+  r.best_cost = best.cost;
+  r.stats = std::move(stats);
+  r.stats.elapsed_ms = watch.ElapsedMillis();
+  r.stats.stop_reason =
+      ResolveStopReason(stop, deadline.Expired(), opts.time_budget_ms, opts.time_control,
+                        r.stats.iterations, opts.max_iterations);
+  return r;
+}
+
+SearchLoop::SearchLoop(SearchRun* run, SearchStats* stats, size_t max_iterations)
+    : run_(run),
+      stats_(stats),
+      max_iterations_(max_iterations),
+      check_interval_(std::max<uint32_t>(1, run->opts.time_control.check_interval)) {}
+
+bool SearchLoop::Count() {
+  ++stats_->iterations;
+  if (run_->timeman == nullptr || ++since_check_ < check_interval_) return false;
+  run_->timeman->Update(since_check_, run_->watch.ElapsedMillis(),
+                        run_->best.CostSnapshot());
   since_check_ = 0;
-}
-
-StopReason RunControl::Resolve(size_t iterations) const {
-  return ResolveStopReason(stop_, deadline_.Expired(), opts_.time_budget_ms,
-                           opts_.time_control, iterations, opts_.max_iterations);
+  return true;
 }
 
 void SearchStats::Merge(const SearchStats& other) {
@@ -58,33 +79,34 @@ void SearchStats::Merge(const SearchStats& other) {
   });
 }
 
-DiffTree RolloutState(const RolloutContext& ctx, DiffTree state, Rng* rng,
-                      SearchStats* stats) {
+namespace {
+
+/// One biased-random rule application; false when no application succeeds.
+bool RolloutStepRandom(const RolloutContext& ctx, DiffTree* state,
+                       std::vector<RuleApplication>* apps, Rng* rng) {
   const SearchOptions& opts = *ctx.opts;
-  ++stats->rollouts;
-  for (size_t step = 0; step < opts.rollout_len; ++step) {
-    if (opts.rollout_stop_prob > 0 && rng->Bernoulli(opts.rollout_stop_prob)) break;
-    std::vector<RuleApplication> apps = ctx.rules->EnumerateApplications(state);
-    stats->RecordFanout(apps.size());
-    if (apps.empty()) break;
-    // Retry on application failure (e.g. node-count guard) without burning
-    // the whole rollout.
-    bool advanced = false;
-    for (int attempt = 0; attempt < 4 && !advanced && !apps.empty(); ++attempt) {
-      size_t pick = rng->UniformIndex(apps.size());
-      auto next = ctx.rules->Apply(state, apps[pick]);
-      if (next.ok()) {
-        state = std::move(next).MoveValueUnsafe();
-        advanced = true;
-      } else {
-        apps.erase(apps.begin() + static_cast<long>(pick));
-      }
+  // Optionally restrict this step to the forward (factoring) subset.
+  std::vector<RuleApplication>* pool = apps;
+  std::vector<RuleApplication> forward;
+  if (opts.rollout_forward_bias > 0.5 && rng->Bernoulli(opts.rollout_forward_bias)) {
+    for (const RuleApplication& a : *apps) {
+      if (ctx.rules->IsForward(a)) forward.push_back(a);
     }
-    if (!advanced) break;
-    ++stats->rollout_steps;
+    if (!forward.empty()) pool = &forward;
   }
-  return state;
+  for (int attempt = 0; attempt < 4 && !pool->empty(); ++attempt) {
+    size_t pick = rng->UniformIndex(pool->size());
+    auto next = ctx.rules->Apply(*state, (*pool)[pick]);
+    if (next.ok()) {
+      *state = std::move(next).MoveValueUnsafe();
+      return true;
+    }
+    pool->erase(pool->begin() + static_cast<long>(pick));
+  }
+  return false;
 }
+
+}  // namespace
 
 double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
                                Rng* rng, SearchStats* stats, DiffTree* best_state) {
@@ -131,30 +153,6 @@ double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
   }
   consider(state);  // the terminus is always evaluated (paper behavior)
   return best_cost;
-}
-
-bool RolloutStepRandom(const RolloutContext& ctx, DiffTree* state,
-                       std::vector<RuleApplication>* apps, Rng* rng) {
-  const SearchOptions& opts = *ctx.opts;
-  // Optionally restrict this step to the forward (factoring) subset.
-  std::vector<RuleApplication>* pool = apps;
-  std::vector<RuleApplication> forward;
-  if (opts.rollout_forward_bias > 0.5 && rng->Bernoulli(opts.rollout_forward_bias)) {
-    for (const RuleApplication& a : *apps) {
-      if (ctx.rules->IsForward(a)) forward.push_back(a);
-    }
-    if (!forward.empty()) pool = &forward;
-  }
-  for (int attempt = 0; attempt < 4 && !pool->empty(); ++attempt) {
-    size_t pick = rng->UniformIndex(pool->size());
-    auto next = ctx.rules->Apply(*state, (*pool)[pick]);
-    if (next.ok()) {
-      *state = std::move(next).MoveValueUnsafe();
-      return true;
-    }
-    pool->erase(pool->begin() + static_cast<long>(pick));
-  }
-  return false;
 }
 
 }  // namespace ifgen

@@ -1,11 +1,12 @@
 #pragma once
 
+#include <limits>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include <memory>
 
 #include "cost/evaluator.h"
 #include "difftree/difftree.h"
@@ -98,8 +99,8 @@ struct RootActionStat {
 /// warm-start iteration win). Like `stop`/`progress`, attaching a bridge is
 /// NOT part of any cache key or fingerprint.
 struct SeedBridge {
-  /// In: experience-store records for this search's cost identity, hottest
-  /// first.
+  /// In: experience-store records for this search's cost identity in
+  /// ExperienceStore::Snapshot order (root records, then canonical hash).
   std::vector<TtSeedEntry> experience_seed;
   /// Cap on entries exported after the run.
   size_t export_limit = 512;
@@ -267,8 +268,8 @@ struct SearchResult {
   std::vector<RootActionStat> root_actions;
 };
 
-/// \brief Everything a rollout needs; lets rollout helpers run as free
-/// functions on any thread (every root-parallel tree rolls out on its own
+/// \brief Everything a rollout needs; lets the rollout run as a free
+/// function on any thread (every root-parallel tree rolls out on its own
 /// thread, where member functions bound to one searcher would not do).
 struct RolloutContext {
   const RuleEngine* rules = nullptr;
@@ -276,58 +277,114 @@ struct RolloutContext {
   const SearchOptions* opts = nullptr;
 };
 
-/// One random rollout of up to opts->rollout_len rule applications; returns
-/// the final state. Thread-compatible: distinct (rng, stats) per caller.
-DiffTree RolloutState(const RolloutContext& ctx, DiffTree state, Rng* rng,
-                      SearchStats* stats);
-
-/// Rollout that also samples intermediate states for evaluation and always
-/// evaluates the terminus; returns the best cost seen (`best_state` receives
-/// the matching state). Thread-compatible like RolloutState.
+/// Random rollout of up to opts->rollout_len rule applications that also
+/// samples intermediate states for evaluation and always evaluates the
+/// terminus; returns the best cost seen (`best_state` receives the matching
+/// state). Thread-compatible: distinct (rng, stats) per caller.
 double RolloutAndEvaluateState(const RolloutContext& ctx, const DiffTree& start,
                                Rng* rng, SearchStats* stats, DiffTree* best_state);
 
-/// One biased-random rule application; false when no application succeeds.
-bool RolloutStepRandom(const RolloutContext& ctx, DiffTree* state,
-                       std::vector<RuleApplication>* apps, Rng* rng);
+/// \brief The global best across every evaluated state of one run. Every
+/// searcher uses this one tracker, and root-parallel trees share it, so
+/// Offer locks on every call (uncontended in serial runs). Only *global*
+/// improvements are recorded, so each contributing tree's trace is a slice
+/// of the monotone best-so-far curve.
+struct BestTracker {
+  std::mutex mu;
+  DiffTree tree;
+  double cost = std::numeric_limits<double>::infinity();
+  /// Optional live publisher: every global improvement streams out as a
+  /// versioned ProgressSink event the moment it is accepted.
+  ProgressSink* sink = nullptr;
 
-/// \brief Per-run wiring of the anytime controls, shared by every searcher:
-/// the effective deadline (plain time budget vs the deadline's search
-/// slice), a stop handle (the caller-supplied one, or a run-local one when
-/// time control is active), and an optional TimeManager latching into it.
+  void Offer(const DiffTree& t, double c, const Stopwatch& watch, size_t iteration,
+             SearchStats* stats) {
+    std::lock_guard<std::mutex> lock(mu);
+    if (c >= cost) return;
+    cost = c;
+    tree = t;
+    const int64_t ms = watch.ElapsedMillis();
+    stats->trace.push_back({ms, iteration, c});
+    if (sink != nullptr) sink->Publish(t, c, iteration, ms);
+  }
+
+  double CostSnapshot() {
+    std::lock_guard<std::mutex> lock(mu);
+    return cost;
+  }
+};
+
+/// \brief The state every search run carries, set up and reported one way
+/// for every searcher: the seed's RNG stream, the run clock, the anytime
+/// controls, the stats and the best tracker.
 ///
-/// With time control off and no external stop handle this degenerates to
-/// the classic `Deadline(time_budget_ms)` with a null stop pointer — the
-/// loop shape (and hence every RNG draw) is unchanged.
-class RunControl {
- public:
-  explicit RunControl(const SearchOptions& opts);
+/// The anytime controls are the effective deadline (plain time budget vs
+/// the deadline's search slice), a stop handle (the caller-supplied one, or
+/// a run-local one when time control is active) and an optional
+/// TimeManager latching into it. With time control off and no external
+/// stop handle this degenerates to the classic `Deadline(time_budget_ms)`
+/// with a null stop pointer, so the loop shape (and every RNG draw) is the
+/// classic one.
+struct SearchRun {
+  explicit SearchRun(const SearchOptions& opts);
 
-  Deadline& deadline() { return deadline_; }
-  /// Null when neither an external stop nor time control is in play — the
+  /// Samples the initial state's cost from `rng`, records it as the run's
+  /// initial cost (MCTS's reward anchor) and offers it as the iteration-0
+  /// best. Returns the cost.
+  double Start(const DiffTree& initial, StateEvaluator* evaluator);
+
+  /// An external cancel or a latched time-manager decision.
+  bool StopRequested() const { return stop != nullptr && stop->stop_requested(); }
+  /// True when the loop should stop now: deadline expired or stop requested.
+  bool Stopped() const { return deadline.Expired() || StopRequested(); }
+
+  /// Moves the best state and the stats into the result, stamping the
+  /// elapsed time and the resolved stop reason.
+  SearchResult Finish();
+
+  const SearchOptions& opts;
+  Rng rng;
+  Stopwatch watch;
+  Deadline deadline;
+  StopHandle local_stop;
+  /// Null when neither an external stop nor time control is in play; the
   /// hot loop then skips even the relaxed atomic poll.
-  StopHandle* stop() { return stop_; }
-  TimeManager* timeman() { return timeman_.get(); }
+  StopHandle* stop = nullptr;
+  std::unique_ptr<TimeManager> timeman;
+  SearchStats stats;
+  BestTracker best;
+};
 
-  /// True when the loop should stop now (external cancel or a latched
-  /// time-manager decision).
-  bool Stopped() const { return stop_ != nullptr && stop_->stop_requested(); }
+/// \brief One loop of a search run: its iteration guard, its time-control
+/// tick and its path into the run's best tracker, counting into one
+/// SearchStats. Every loop owns one (each root-parallel tree its own); all
+/// loops of a run feed its one TimeManager.
+class SearchLoop {
+ public:
+  SearchLoop(SearchRun* run, SearchStats* stats, size_t max_iterations);
 
-  /// Per-iteration tick for single-tree loops: consults the TimeManager
-  /// every check_interval iterations. (RunMctsTree drives the shared
-  /// TimeManager itself so root-parallel trees feed one state machine.)
-  void Tick(const Stopwatch& watch, double best_cost);
+  /// True once the deadline expired, a stop was requested or
+  /// max_iterations iterations ran (0 = no cap).
+  bool Done() const {
+    return run_->Stopped() ||
+           (max_iterations_ > 0 && stats_->iterations >= max_iterations_);
+  }
 
-  /// Final stop-reason resolution once the loop exits.
-  StopReason Resolve(size_t iterations) const;
+  /// Counts one iteration. Every check_interval-th call feeds the run's
+  /// TimeManager (whose decision latches into the stop handle) and returns
+  /// true.
+  bool Count();
+
+  /// Offers a state to the run's best tracker at this loop's iteration.
+  void Offer(const DiffTree& t, double c) {
+    run_->best.Offer(t, c, run_->watch, stats_->iterations, stats_);
+  }
 
  private:
-  const SearchOptions& opts_;
-  Deadline deadline_;
-  StopHandle local_stop_;
-  StopHandle* stop_ = nullptr;
-  std::unique_ptr<TimeManager> timeman_;
-  uint32_t check_interval_ = 16;
+  SearchRun* run_;
+  SearchStats* stats_;
+  size_t max_iterations_;
+  uint32_t check_interval_;
   uint32_t since_check_ = 0;
 };
 
@@ -342,37 +399,6 @@ class Searcher {
   virtual Result<SearchResult> Run(const DiffTree& initial) = 0;
 
  protected:
-  /// Tracks the global best across every evaluated state.
-  struct BestTracker {
-    DiffTree tree;
-    double cost = std::numeric_limits<double>::infinity();
-    ProgressSink* sink = nullptr;  ///< optional live publisher of improvements
-    bool Offer(const DiffTree& t, double c, const Stopwatch& watch, size_t iteration,
-               SearchStats* stats) {
-      if (c >= cost) return false;
-      cost = c;
-      tree = t;
-      const int64_t ms = watch.ElapsedMillis();
-      stats->trace.push_back({ms, iteration, c});
-      if (sink != nullptr) sink->Publish(t, c, iteration, ms);
-      return true;
-    }
-  };
-
-  /// Member conveniences over the free rollout helpers above, bound to this
-  /// searcher's engine/evaluator/options.
-  DiffTree Rollout(DiffTree state, Rng* rng, SearchStats* stats) {
-    return RolloutState({rules_, evaluator_, &opts_}, std::move(state), rng, stats);
-  }
-  double RolloutAndEvaluate(const DiffTree& start, Rng* rng, SearchStats* stats,
-                            DiffTree* best_state) {
-    return RolloutAndEvaluateState({rules_, evaluator_, &opts_}, start, rng, stats,
-                                   best_state);
-  }
-  bool StepRandom(DiffTree* state, std::vector<RuleApplication>* apps, Rng* rng) {
-    return RolloutStepRandom({rules_, evaluator_, &opts_}, state, apps, rng);
-  }
-
   const RuleEngine* rules_;
   StateEvaluator* evaluator_;
   SearchOptions opts_;

@@ -105,13 +105,13 @@ TEST(TranspositionTable, SeededCostsStayOutOfTheExport) {
   tt.StoreCost(5, 2.5);
   ASSERT_TRUE(tt.LookupCost(3).has_value());
   EXPECT_DOUBLE_EQ(*tt.LookupCost(3), 0.5);
-  const auto exported = tt.ExportHotCosts(8);
+  const auto exported = tt.ExportSampledCosts(8);
   ASSERT_EQ(exported.size(), 2u);  // by canonical hash, seeded 3 skipped
   EXPECT_EQ(exported[0].key, 5u);
   EXPECT_DOUBLE_EQ(exported[0].cost, 2.5);
   EXPECT_EQ(exported[1].key, 9u);
   EXPECT_DOUBLE_EQ(exported[1].cost, 1.5);
-  EXPECT_EQ(tt.ExportHotCosts(1).size(), 1u);
+  EXPECT_EQ(tt.ExportSampledCosts(1).size(), 1u);
 }
 
 TEST(TranspositionTable, ConcurrentVisitsInsertEachKeyExactlyOnce) {
@@ -138,7 +138,7 @@ TEST(TranspositionTable, ConcurrentVisitsInsertEachKeyExactlyOnce) {
   }
   EXPECT_EQ(tt.size(), kKeys);
   EXPECT_EQ(tt.transposition_hits(), kKeys * (kThreads - 1));
-  EXPECT_EQ(tt.ExportHotCosts(kKeys).size(), kKeys);  // one cost per key
+  EXPECT_EQ(tt.ExportSampledCosts(kKeys).size(), kKeys);  // one cost per key
 }
 
 TEST(TranspositionTable, ConcurrentCostStoresAgreeAfterwards) {

@@ -120,7 +120,7 @@ TEST(Streaming, RootParallelPublishesStrictlyImprovingSequence) {
 /// The no-deadline differential pin: with time control off, attaching the
 /// streaming machinery (sink + stop handle) must leave the serial search
 /// bit-identical to a plain run — publishing consumes no RNG draws and the
-/// RunControl layer stays inert.
+/// run's anytime controls stay inert.
 TEST(Streaming, SinkAndStopWiringDoesNotPerturbSerialSearch) {
   for (const std::string& name : {"flights", "sdss", "synthetic"}) {
     SCOPED_TRACE(name);
