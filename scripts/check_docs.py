@@ -12,9 +12,10 @@
    in a tracked *.md file (a CamelCase name like `SearchRun`, or a
    qualified name like `Searcher::Run`, optionally followed by `()`) must
    occur as a word somewhere under the code directories, so a doc cannot
-   keep naming code that was renamed or deleted. The history and planning
-   documents (CHANGES.md, ROADMAP.md, ISSUE.md) name removed code on
-   purpose and are skipped.
+   keep naming code that was renamed or deleted. Only README.md and the
+   guides in subdirectories are checked: the other top-level documents
+   (change history, roadmap, planning and reference notes) name removed or
+   outside code on purpose.
 
 Exit code 0 = clean, 1 = findings (printed one per line).
 """
@@ -32,7 +33,7 @@ CODE_SPAN_RE = re.compile(r"`[^`]*`")
 SKIP_DIRS = {"build", "build-tsan", ".git", ".claude"}
 
 CODE_DIRS = ["src", "bench", "tests", "examples", "perfbench"]
-HISTORY_DOCS = {"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+CHECKED_TOP_LEVEL_DOCS = {"README.md"}
 # `Name`, `A::B`, `A::B::c`, `A::~A`, each optionally with a trailing ().
 CODE_NAME_RE = re.compile(r"^[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)*(?:\(\))?$")
 CAMEL_RE = re.compile(r"^[A-Z][a-z0-9]+[A-Z]\w*$")
@@ -98,7 +99,7 @@ def check_code_names():
     words = code_words()
     errors = []
     for md in tracked:
-        if md in HISTORY_DOCS:
+        if "/" not in md and md not in CHECKED_TOP_LEVEL_DOCS:
             continue
         with open(os.path.join(REPO, md), encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
